@@ -1,48 +1,83 @@
-"""Vectorized per-cube statistics and cube-to-point reductions.
+"""The cube-sweep engine: per-cube statistics over an admissible cube family.
 
-Internal engine shared by the maximal functions, weight diagnostics and
-Morrey norms.  For each cube side m it produces per-corner statistics
-(window sums, sorted windows, mins) and converts corner-indexed values to
-point-indexed maxima.  All reductions run in a fixed size-major order, so
-results are reproducible bit for bit.
+Every supremum over a cube family in the package runs through `cube_sweep`,
+and nothing outside this module branches on the family kind.  For each cube
+side m of the family, `cube_sweep` yields a `Sweep`: the lattice of corners
+of the size-m family cubes inside a base cube Q0 (the whole grid by
+default).  The "all" family takes every corner (start 0, stride 1); the
+dyadic family takes the corners on the global m-lattice (start
+(-corner0) % m, stride m).  A Sweep computes corner-indexed statistics on
+that lattice -- window sums, window rows, window mins -- and `to_points`
+turns them into point-indexed maxima over the cubes containing each point.
+`norms_by_size` adds one Luxemburg norm per cube.
+
+Windows are strided views of the value array; rows (one window per row) are
+materialized only where a solver needs them.  Overlapping windows (stride 1)
+are summed with prefix sums, non-overlapping ones (stride m) as exact block
+sums, so zero blocks give exact zeros.  All reductions run in a fixed
+size-major order, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Iterator
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .gauges import YoungFunction, _power_norms, batched_mean_norms
+from .geometry import Cube, CubeFamily
+
 __all__ = [
+    "Sweep",
+    "cube_sweep",
+    "norms_by_size",
     "window_sums",
     "window_matrix",
     "window_min",
     "corner_to_point_max",
-    "dyadic_offsets",
 ]
 
 
-def window_sums(values: np.ndarray, m: int) -> np.ndarray:
-    """Sums over all m-windows (1D) or m x m windows (2D), corner-indexed."""
-    if values.ndim == 1:
+# Corner lattices are given per axis as start + stride * k (start a tuple).
+
+def _lattice(start: tuple[int, ...], stride: int) -> tuple[slice, ...]:
+    return tuple(slice(s, None, stride) for s in start)
+
+
+def _window_view(values: np.ndarray, m: int, start: tuple[int, ...], stride: int) -> np.ndarray:
+    """Strided view of the m-windows at the corner lattice: (corners..., m...)."""
+    return sliding_window_view(values, (m,) * values.ndim)[_lattice(start, stride)]
+
+
+def window_sums(values: np.ndarray, m: int, start: tuple[int, ...], stride: int) -> np.ndarray:
+    """Sum over each m-window (m x m in 2D) at the corner lattice."""
+    dim = values.ndim
+    if stride == m:  # the windows tile their span: exact block sums
+        counts = [(n - m - s) // m + 1 for n, s in zip(values.shape, start)]
+        span = values[tuple(slice(s, s + k * m) for s, k in zip(start, counts))]
+        blocks = span.reshape([d for k in counts for d in (k, m)])
+        return blocks.sum(axis=tuple(range(1, 2 * dim, 2)))
+    if dim == 1:
         p = np.concatenate([[0.0], np.cumsum(values)])
-        return p[m:] - p[:-m]
-    p = np.zeros((values.shape[0] + 1, values.shape[1] + 1))
-    p[1:, 1:] = values.cumsum(axis=0).cumsum(axis=1)
-    return p[m:, m:] - p[:-m, m:] - p[m:, :-m] + p[:-m, :-m]
+        sums = p[m:] - p[:-m]
+    else:
+        p = np.zeros((values.shape[0] + 1, values.shape[1] + 1))
+        p[1:, 1:] = values.cumsum(axis=0).cumsum(axis=1)
+        sums = p[m:, m:] - p[:-m, m:] - p[m:, :-m] + p[:-m, :-m]
+    return sums[_lattice(start, stride)]
 
 
-def window_matrix(values: np.ndarray, m: int) -> np.ndarray:
-    """All m-windows flattened to rows: shape (ncorners, m^dim)."""
-    if values.ndim == 1:
-        return sliding_window_view(values, m).reshape(-1, m)
-    return sliding_window_view(values, (m, m)).reshape(-1, m * m)
+def window_matrix(values: np.ndarray, m: int, start: tuple[int, ...], stride: int) -> np.ndarray:
+    """The m-windows at the corner lattice flattened to rows: (ncorners, m^dim)."""
+    return _window_view(values, m, start, stride).reshape(-1, m**values.ndim)
 
 
-def window_min(values: np.ndarray, m: int) -> np.ndarray:
-    """Minimum over each window, corner-indexed (keeps grid shape)."""
-    if values.ndim == 1:
-        return sliding_window_view(values, m).min(axis=-1)
-    return sliding_window_view(values, (m, m)).min(axis=(-2, -1))
+def window_min(values: np.ndarray, m: int, start: tuple[int, ...], stride: int) -> np.ndarray:
+    """Minimum over each m-window at the corner lattice."""
+    dim = values.ndim
+    return _window_view(values, m, start, stride).min(axis=tuple(range(dim, 2 * dim)))
 
 
 def _axis_corner_max(arr: np.ndarray, m: int, n: int, axis: int) -> np.ndarray:
@@ -55,17 +90,82 @@ def _axis_corner_max(arr: np.ndarray, m: int, n: int, axis: int) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
-def corner_to_point_max(corner_vals: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Point-indexed max over all size-m cubes containing each point.
+def corner_to_point_max(corner_vals: np.ndarray, m: int, n: int,
+                        start: tuple[int, ...], stride: int) -> np.ndarray:
+    """Point-indexed max over the size-m lattice cubes containing each point.
 
-    corner_vals has length n - m + 1 per axis; the result has length n."""
+    corner_vals holds one value per lattice corner; corners off the lattice
+    count as -inf.  The result has length n per axis."""
+    dim = corner_vals.ndim
+    if stride != 1:
+        full = np.full((n - m + 1,) * dim, -np.inf)
+        full[_lattice(start, stride)] = corner_vals
+        corner_vals = full
     out = corner_vals
-    for axis in range(corner_vals.ndim):
+    for axis in range(dim):
         out = _axis_corner_max(out, m, n, axis)
     return out
 
 
-def dyadic_offsets(corner0: int, n0: int, m: int) -> range:
-    """Local offsets of globally m-aligned windows inside a subarray."""
-    start = (-corner0) % m
-    return range(start, n0 - m + 1, m)
+@dataclass(frozen=True)
+class Sweep:
+    """The size-m family cubes inside an n0-cell base cube: their corners are
+    start + stride * k per axis, in local cell indices."""
+
+    m: int
+    n0: int
+    start: tuple[int, ...]
+    stride: int
+
+    @property
+    def corners(self) -> tuple[int, ...]:
+        """Shape of the corner lattice."""
+        return tuple(max(0, (self.n0 - self.m - s) // self.stride + 1) for s in self.start)
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        return window_sums(values, self.m, self.start, self.stride)
+
+    def rows(self, values: np.ndarray) -> np.ndarray:
+        return window_matrix(values, self.m, self.start, self.stride)
+
+    def mins(self, values: np.ndarray) -> np.ndarray:
+        return window_min(values, self.m, self.start, self.stride)
+
+    def to_points(self, corner_vals: np.ndarray) -> np.ndarray:
+        return corner_to_point_max(corner_vals, self.m, self.n0, self.start, self.stride)
+
+
+def cube_sweep(family: CubeFamily, Q0: Cube | None = None) -> Iterator[Sweep]:
+    """One Sweep per family cube side that fits inside Q0 (default: the grid).
+
+    Sizes with no family cube inside Q0 are skipped."""
+    grid = family.grid
+    corner0 = (0,) * grid.dim if Q0 is None else Q0.corner
+    n0 = grid.cells_per_side if Q0 is None else Q0.side_cells
+    for m in family.sizes(cap=n0):
+        if family.kind == "all":
+            sweep = Sweep(m, n0, (0,) * grid.dim, 1)
+        else:  # dyadic: corners on the global m-lattice
+            sweep = Sweep(m, n0, tuple((-c) % m for c in corner0), m)
+        if min(sweep.corners) > 0:
+            yield sweep
+
+
+def norms_by_size(values: np.ndarray, A: YoungFunction, family: CubeFamily,
+                  raw: bool = False) -> Iterator[tuple[Sweep, np.ndarray]]:
+    """Yield (sweep, Luxemburg norm of |values| on each cube, corner-indexed).
+
+    Norms are mean-normalized, or raw (scale |Q|) when raw is set.  Pure-power
+    gauges take the closed form from window sums of |values|^p; other gauges
+    solve one batched row per cube."""
+    grid = family.grid
+    absvals = np.abs(values)
+    power = A.power_form()
+    pw = absvals ** power[0] if power is not None else None
+    for sweep in cube_sweep(family):
+        scale = (sweep.m * grid.h) ** grid.dim if raw else 1.0
+        if power is not None:
+            norms = _power_norms(sweep.sums(pw), sweep.m**grid.dim, power, scale)
+        else:
+            norms = batched_mean_norms(sweep.rows(absvals), A, scale).reshape(sweep.corners)
+        yield sweep, norms

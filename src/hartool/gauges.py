@@ -8,7 +8,10 @@ linear case A(t) = t.  The module provides
   bisection), and a numeric conjugate sup_t (s t - A(t)) (ternary search),
 * both Luxemburg norms over a cube: the mean-normalized norm
   inf {lam : avg_Q A(|f|/lam) <= 1} and the raw norm with the plain
-  integral in place of the average,
+  integral in place of the average.  Every Luxemburg solve in the package
+  is a row of `batched_mean_norms`, which takes the closed form for
+  pure-power gauges and otherwise a bracket plus per-row bisection to
+  LUXEMBURG_RTOL; the scalar norms are one-row batches,
 * the Dini integral of a modulus of continuity with a documented
   divergence heuristic, and
 * the bump norm ( int_1^inf A(t)^(q/p) t^-q dt/t )^(1/q) with 1/q = 1/p - alpha,
@@ -523,110 +526,90 @@ def conjugate(A: YoungFunction, s: float) -> float:
 # ---------------------------------------------------------------------------
 # Luxemburg norms
 
-def _luxemburg_bisect(scaled_condition, vmax: float) -> float:
-    """Smallest lam with scaled_condition(lam) <= 1; condition nonincreasing."""
-    if vmax == 0.0:
-        return 0.0
-    hi = vmax
-    for _ in range(300):
-        if scaled_condition(hi) <= 1.0:
+_BRACKET_STEPS = 300  # doublings / halvings allowed while bracketing lambda
+_BISECT_STEPS = 200   # a factor-2 bracket reaches LUXEMBURG_RTOL in ~44 steps
+
+
+def _power_norms(sums: np.ndarray, ncols: int, power: tuple[float, float],
+                 scale: float) -> np.ndarray:
+    """Closed form for A(t) = a t^p: lam = (scale * a * sum|w|^p / ncols)^(1/p).
+
+    The sums may come from prefix sums, whose cancellation can leave tiny
+    negatives where the exact sum is zero."""
+    p, a = power
+    return (scale * a * np.maximum(sums, 0.0) / ncols) ** (1.0 / p)
+
+
+def batched_mean_norms(windows: np.ndarray, A: YoungFunction, scale: float = 1.0) -> np.ndarray:
+    """Per row of a (k, ncols) matrix, the smallest lam with
+    scale * mean_row A(|w| / lam) <= 1.
+
+    scale = 1 gives the mean-normalized Luxemburg norm, scale = |Q| the raw
+    norm, and scale = ncols / N a row that vanishes off its listed columns
+    inside a region of N cells.  Pure-power gauges use the closed form.
+    Other gauges bracket lam by doubling/halving from max|w| and bisect each
+    row until its bracket is within LUXEMBURG_RTOL; a converged row stops
+    updating, so every row's result is independent of the rest of the batch."""
+    w = np.abs(np.asarray(windows, dtype=float))
+    power = A.power_form()
+    if power is not None:
+        return _power_norms(np.sum(w ** power[0], axis=1), w.shape[1], power, scale)
+    out = np.zeros(w.shape[0])
+    live = np.flatnonzero(w.max(axis=1, initial=0.0) > 0.0)
+    if live.size == 0:
+        return out
+    w = w[live]
+
+    def feasible(rows, lam):
+        return scale * np.mean(A.value(w[rows] / lam[:, None]), axis=1) <= 1.0
+
+    hi = w.max(axis=1)
+    rows = np.arange(hi.size)
+    ok = feasible(rows, hi)
+    grow, shrink = rows[~ok], rows[ok]
+    for _ in range(_BRACKET_STEPS):
+        if grow.size == 0:
             break
-        hi *= 2.0
-    lo = hi
-    for _ in range(300):
-        cand = lo / 2.0
-        if cand <= 0.0 or scaled_condition(cand) > 1.0:
+        hi[grow] *= 2.0
+        grow = grow[~feasible(grow, hi[grow])]
+    for _ in range(_BRACKET_STEPS):
+        if shrink.size == 0:
             break
-        lo = cand
-    lo = lo / 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if scaled_condition(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= LUXEMBURG_RTOL * hi:
+        cand = hi[shrink] / 2.0
+        ok = feasible(shrink, cand)
+        hi[shrink[ok]] = cand[ok]
+        shrink = shrink[ok]
+    lo = hi / 2.0  # infeasible: the bracket search just rejected it
+    for _ in range(_BISECT_STEPS):
+        if rows.size == 0:
             break
-    return hi
+        mid = 0.5 * (lo[rows] + hi[rows])
+        good = feasible(rows, mid)
+        hi[rows[good]] = mid[good]
+        lo[rows[~good]] = mid[~good]
+        rows = rows[hi[rows] - lo[rows] > LUXEMBURG_RTOL * hi[rows]]
+    out[live] = hi
+    return out
 
 
 def _region_values(f: SampledFunction, Q: Cube | Box) -> np.ndarray:
     if Q.grid != f.grid:
         raise ValueError("cube grid does not match function grid")
-    return np.abs(f.values[Q.slices]).ravel()
+    return f.values[Q.slices].reshape(1, -1)
 
 
 def luxemburg_mean_norm(f: SampledFunction, Q: Cube | Box, A: YoungFunction) -> float:
-    """inf { lam > 0 : avg_Q A(|f|/lam) <= 1 }, by bisection."""
-    vals = _region_values(f, Q)
-    vmax = float(vals.max(initial=0.0))
-    if vmax == 0.0:
-        return 0.0
-    cond = lambda lam: float(np.mean(A.value(vals / lam)))
-    return _luxemburg_bisect(cond, vmax)
+    """inf { lam > 0 : avg_Q A(|f|/lam) <= 1 }, as a one-row batch."""
+    return float(batched_mean_norms(_region_values(f, Q), A)[0])
 
 
 def luxemburg_raw_norm(f: SampledFunction, Q: Cube | Box, A: YoungFunction) -> float:
-    """inf { lam > 0 : int_Q A(|f|/lam) <= 1 }, by bisection.
+    """inf { lam > 0 : int_Q A(|f|/lam) <= 1 }, as a one-row batch with scale |Q|.
 
     The unit-level condition is the standard <= 1 infimum; for continuous
     strictly increasing gauges this coincides with requiring equality.
     """
-    vals = _region_values(f, Q)
-    vmax = float(vals.max(initial=0.0))
-    if vmax == 0.0:
-        return 0.0
-    cellm = f.grid.h**f.grid.dim
-    cond = lambda lam: float(np.sum(A.value(vals / lam))) * cellm
-    return _luxemburg_bisect(cond, vmax)
-
-
-def mean_norm_of_values(vals: np.ndarray, A: YoungFunction) -> float:
-    """Mean-normalized Luxemburg norm of a flat value array (one cell each)."""
-    vals = np.abs(np.asarray(vals, dtype=float).ravel())
-    vmax = float(vals.max(initial=0.0))
-    if vmax == 0.0:
-        return 0.0
-    cond = lambda lam: float(np.mean(A.value(vals / lam)))
-    return _luxemburg_bisect(cond, vmax)
-
-
-def batched_mean_norms(windows: np.ndarray, A: YoungFunction,
-                       total_cells: int | None = None, iters: int = 120) -> np.ndarray:
-    """Mean-normalized Luxemburg norms for each row of a (ncubes, m) matrix.
-
-    When total_cells is given, each row is treated as living inside a larger
-    region of that many cells and vanishing off the listed columns."""
-    w = np.abs(windows)
-    scale = 1.0 if total_cells is None else w.shape[1] / float(total_cells)
-    vmax = w.max(axis=1)
-    live = vmax > 0
-    out = np.zeros(w.shape[0])
-    if not live.any():
-        return out
-    wl = w[live]
-    hi = vmax[live].copy()
-    cond = lambda lam: np.mean(A.value(wl / lam[:, None]), axis=1) * scale
-    for _ in range(200):
-        bad = cond(hi) > 1.0
-        if not bad.any():
-            break
-        hi[bad] *= 2.0
-    lo = hi.copy()
-    for _ in range(200):
-        cand = lo / 2.0
-        done = cond(cand) > 1.0
-        lo = np.where(done, lo, cand)
-        if done.all():
-            break
-    lo = lo / 2.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        good = cond(mid) <= 1.0
-        hi = np.where(good, mid, hi)
-        lo = np.where(good, lo, mid)
-    out[live] = hi
-    return out
+    return float(batched_mean_norms(_region_values(f, Q), A, scale=Q.measure)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -183,20 +183,20 @@ class MedianDecay:
     medians: tuple[float, ...]
 
 
-def median_decay_check(kernel, f: SampledFunction, t: float,
+def median_decay_check(tf: SampledFunction, t: float,
                        sides: tuple[int, ...] | None = None) -> MedianDecay:
-    """Medians of Tf over growing centered cubes; the flag certifies decay.
+    """Medians of a transform Tf over growing centered cubes; the flag
+    certifies decay.
 
     The domain is bounded, so "medians tend to zero" is read as: in the
     largest available window the |median| drops materially, sitting below
     95% of both the previous value and the peak of the sequence.  A
     transform that is identically negligible passes vacuously; roughly
     constant output (no decay) fails."""
-    grid = f.grid
+    grid = tf.grid
     n = grid.cells_per_side
     if sides is None:
         sides = tuple(s for s in (n // 8, n // 4, n // 2, n) if s >= 1)
-    tf = apply_kernel(kernel, f)
     meds = []
     for m in sides:
         corner = ((n - m) // 2,) * grid.dim
@@ -346,7 +346,7 @@ def _grid_thm31(cfg, n):
     results = {t: c.finalize() for t, c in collectors.items()}
     best_t = min(results, key=lambda t: results[t]["c_emp"] if results[t]["c_emp"] > 0 else math.inf)
     extra = {"t_scan": {str(t): results[t]["c_emp"] for t in cfg.t_scan}, "best_t": best_t}
-    return results[best_t], extra, ctx
+    return collectors[best_t], extra, ctx
 
 
 def _grid_eq33(cfg, n):
@@ -360,10 +360,9 @@ def _grid_eq33(cfg, n):
 
     def work(i):
         f = ctx.functions[i]
-        decay = median_decay_check(ctx.kernel, f, t_gate)
-        if not decay.flag:
-            return None
         tf = apply_kernel(ctx.kernel, f)
+        if not median_decay_check(tf, t_gate).flag:
+            return None
         mf = fractional_maximal(f, cfg.gamma, LinearGauge(cfg.r), ctx.family)
         phi_t = phi.value(np.abs(tf.values))
         phi_m = phi.value(np.abs(mf.values))
@@ -483,10 +482,9 @@ def _grid_thm42(cfg, n):
 
     def work(i):
         f = ctx.functions[i]
-        decay = median_decay_check(ctx.kernel, f, t_gate)
-        if not decay.flag:
-            return None
         tf = apply_kernel(ctx.kernel, f)
+        if not median_decay_check(tf, t_gate).flag:
+            return None
         rows = []
         for j, (w, v) in enumerate(pairs):
             lhs = (cellm * float(np.sum(np.abs(tf.values) ** cfg.q * w.values))) ** (1.0 / cfg.q)
@@ -664,10 +662,9 @@ def run_inequality(cfg: ExperimentConfig, csv_sink=None) -> Report:
     runner = _RUNNERS[cfg.inequality_id]
     grids: list[GridRecord] = []
     for n in cfg.grid_sizes:
-        out = runner(cfg, n)
-        col, extra, _ = out
-        result = col if isinstance(col, dict) else col.finalize()
-        if csv_sink is not None and not isinstance(col, dict):
+        col, extra, _ = runner(cfg, n)
+        result = col.finalize()
+        if csv_sink is not None:
             for tag, lhs, rhs, shape in col.iter_csv_rows():
                 csv_sink(cfg.inequality_id, n, tag, lhs, rhs, shape)
         grids.append(GridRecord(
@@ -721,9 +718,8 @@ def reevaluate_witness(cfg: ExperimentConfig, n: int, witness: dict) -> tuple[fl
     same public functionals; used to certify that reported constants are
     traceable."""
     runner = _RUNNERS[cfg.inequality_id]
-    col, extra, _ = runner(cfg, n)
-    result = col if isinstance(col, dict) else col.finalize()
-    w = result["witness"]
+    col, _, _ = runner(cfg, n)
+    w = col.finalize()["witness"]
     if w is None:
         raise ValueError("run produced no witness")
     return w["lhs"], w["rhs"]

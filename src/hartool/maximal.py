@@ -18,8 +18,8 @@ import math
 
 import numpy as np
 
-from ._sweeps import corner_to_point_max, dyadic_offsets, window_matrix, window_min, window_sums
-from .gauges import YoungFunction, batched_mean_norms
+from ._sweeps import cube_sweep, norms_by_size
+from .gauges import YoungFunction
 from .geometry import Cube, CubeFamily, SampledFunction, dilate, integrate, unclipped_dilate_measure
 from .operators import LambdaSequence
 
@@ -88,8 +88,12 @@ def sharp_median_plugin(f: SampledFunction, s: float, Q: Cube) -> float:
     return float(vals[_median_index(1.0 - s, vals.size)])
 
 
-def _masked_zero(shape) -> np.ndarray:
-    return np.full(shape, -np.inf)
+def _masked_points(grid, Q0: Cube, best: np.ndarray, name: str) -> SampledFunction:
+    """Embed Q0-local maxima in the grid; cells outside Q0, and points no
+    family cube covers (-inf), are marked absent (NaN)."""
+    out = np.full(grid.shape, np.nan)
+    out[Q0.slices] = np.where(np.isneginf(best), np.nan, best)
+    return SampledFunction(grid, out, name=name, masked=True)
 
 
 def local_sharp_maximal(f: SampledFunction, s: float, Q0: Cube,
@@ -99,91 +103,32 @@ def local_sharp_maximal(f: SampledFunction, s: float, Q0: Cube,
     Cells outside Q0 are marked absent (NaN)."""
     if not 0 < s <= 0.5:
         raise ValueError("sharp-median level s must lie in (0, 1/2]")
-    grid = f.grid
     sub = f.values[Q0.slices]
-    n0 = Q0.side_cells
-    best = _masked_zero(sub.shape)
-    if family.kind == "all":
-        for m in family.sizes(cap=n0):
-            wins = np.sort(window_matrix(sub, m), axis=1)
-            kp = _window_count(s, wins.shape[1])
-            if kp <= 1:
-                stat = np.zeros(wins.shape[0])
-            else:
-                stat = 0.5 * (wins[:, kp - 1:] - wins[:, : wins.shape[1] - kp + 1]).min(axis=1)
-            kshape = tuple(n0 - m + 1 for _ in range(grid.dim))
-            best = np.maximum(best, corner_to_point_max(stat.reshape(kshape), m, n0))
-    else:
-        for m in family.sizes(cap=n0):
-            offs = [dyadic_offsets(c, n0, m) for c in Q0.corner]
-            if any(len(o) == 0 for o in offs):
-                continue
-            if grid.dim == 1:
-                for o in offs[0]:
-                    vals = np.sort(sub[o:o + m], axis=None)
-                    best[o:o + m] = np.maximum(best[o:o + m], sharp_of_sorted(vals, s))
-            else:
-                for o1 in offs[0]:
-                    for o2 in offs[1]:
-                        vals = np.sort(sub[o1:o1 + m, o2:o2 + m], axis=None)
-                        v = sharp_of_sorted(vals, s)
-                        blk = best[o1:o1 + m, o2:o2 + m]
-                        np.maximum(blk, v, out=blk)
-    out = np.full(grid.shape, np.nan)
-    out[Q0.slices] = np.where(np.isneginf(best), np.nan, best)  # empty family
-    return SampledFunction(grid, out, name=f"sharp[{f.name}]", masked=True)
-
-
-def _power_mean_norms(sums_pow: np.ndarray, ncells: int, p: float, scale: float) -> np.ndarray:
-    # closed form for A(t) = scale * t^p: norm = (scale * mean |f|^p)^(1/p);
-    # prefix-sum cancellation can leave tiny negatives where the sum is zero
-    return (scale * np.maximum(sums_pow, 0.0) / ncells) ** (1.0 / p)
+    best = np.full(sub.shape, -np.inf)
+    for sweep in cube_sweep(family, Q0):
+        wins = np.sort(sweep.rows(sub), axis=1)
+        kp = _window_count(s, wins.shape[1])
+        if kp <= 1:
+            stat = np.zeros(wins.shape[0])
+        else:
+            stat = 0.5 * (wins[:, kp - 1:] - wins[:, : wins.shape[1] - kp + 1]).min(axis=1)
+        best = np.maximum(best, sweep.to_points(stat.reshape(sweep.corners)))
+    return _masked_points(f.grid, Q0, best, f"sharp[{f.name}]")
 
 
 def fractional_maximal(f: SampledFunction, gamma: float, A: YoungFunction,
                        family: CubeFamily) -> SampledFunction:
     """M f(x) = sup over family cubes Q containing x of |Q|^gamma ||f||_Q.
 
-    ||.||_Q is the mean-normalized Luxemburg norm; pure-power gauges use the
-    exact closed form, other gauges a batched bisection per cube size."""
+    ||.||_Q is the mean-normalized Luxemburg norm (closed form for pure-power
+    gauges, one batched solve per cube size otherwise)."""
     if not 0 <= gamma < 1:
         raise ValueError("gamma must lie in [0, 1)")
     grid = f.grid
-    n = grid.cells_per_side
-    absvals = np.abs(f.values)
-    power = A.power_form()
-    if power is not None:
-        pw = absvals ** power[0]
     best = np.zeros(grid.shape)  # cube stats are nonnegative
-    for m in family.sizes():
-        meas = (m * grid.h) ** grid.dim
-        ncells = m**grid.dim
-        if family.kind == "all":
-            if power is not None:
-                norms = _power_mean_norms(window_sums(pw, m).ravel(), ncells, power[0], power[1])
-            else:
-                norms = batched_mean_norms(window_matrix(absvals, m), A)
-            stat = meas**gamma * norms
-            kshape = tuple(n - m + 1 for _ in range(grid.dim))
-            best = np.maximum(best, corner_to_point_max(stat.reshape(kshape), m, n))
-        else:
-            if grid.dim == 1:
-                if power is not None:
-                    norms = _power_mean_norms(pw.reshape(n // m, m).sum(axis=1),
-                                              ncells, power[0], power[1])
-                else:
-                    norms = batched_mean_norms(absvals.reshape(n // m, m), A)
-                stat = np.repeat(meas**gamma * norms, m)
-            else:
-                if power is not None:
-                    bsums = pw.reshape(n // m, m, n // m, m).sum(axis=(1, 3))
-                    norms = _power_mean_norms(bsums.ravel(), ncells, power[0], power[1])
-                else:
-                    blocks = absvals.reshape(n // m, m, n // m, m).transpose(0, 2, 1, 3).reshape(-1, m * m)
-                    norms = batched_mean_norms(blocks, A)
-                stat = np.repeat(np.repeat((meas**gamma * norms).reshape(n // m, n // m), m, axis=0),
-                                 m, axis=1)
-            best = np.maximum(best, stat.reshape(grid.shape))
+    for sweep, norms in norms_by_size(f.values, A, family):
+        meas = (sweep.m * grid.h) ** grid.dim
+        best = np.maximum(best, sweep.to_points(meas**gamma * norms))
     return SampledFunction(grid, best, name=f"M[{f.name}]")
 
 
@@ -197,29 +142,10 @@ def sup_inf_over_cubes(g: SampledFunction, family: CubeFamily,
     if Q0 is None:
         Q0 = Cube(grid, (0,) * grid.dim, grid.cells_per_side)
     sub = g.values[Q0.slices]
-    n0 = Q0.side_cells
-    best = _masked_zero(sub.shape)
-    for m in family.sizes(cap=n0):
-        if family.kind == "all":
-            mins = window_min(sub, m)
-            best = np.maximum(best, corner_to_point_max(mins, m, n0))
-        else:
-            offs = [dyadic_offsets(c, n0, m) for c in Q0.corner]
-            if any(len(o) == 0 for o in offs):
-                continue
-            if grid.dim == 1:
-                for o in offs[0]:
-                    v = sub[o:o + m].min()
-                    best[o:o + m] = np.maximum(best[o:o + m], v)
-            else:
-                for o1 in offs[0]:
-                    for o2 in offs[1]:
-                        v = sub[o1:o1 + m, o2:o2 + m].min()
-                        blk = best[o1:o1 + m, o2:o2 + m]
-                        np.maximum(blk, v, out=blk)
-    out = np.full(grid.shape, np.nan)
-    out[Q0.slices] = np.where(np.isneginf(best), np.nan, best)  # empty family
-    return SampledFunction(grid, out, name=f"supinf[{g.name}]", masked=True)
+    best = np.full(sub.shape, -np.inf)
+    for sweep in cube_sweep(family, Q0):
+        best = np.maximum(best, sweep.to_points(sweep.mins(sub)))
+    return _masked_points(grid, Q0, best, f"supinf[{g.name}]")
 
 
 def lemma41_rhs(f: SampledFunction, Q: Cube, lam: LambdaSequence,

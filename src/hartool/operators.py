@@ -518,12 +518,12 @@ def hormander_lambda(kernel: KernelSpec, Q: Cube, M: int, A: YoungFunction,
         for i in range(nq):
             rows[i] = kernel.value_at(qcenters[i], ann_centers)
         U = unclipped_dilate_measure(Q, m + 1)
-        total_cells = outer.ncells
+        scale = ncols / outer.ncells  # rows vanish on the rest of the clipped dilate
         best = 0.0
         for start in range(0, pair_idx.shape[0], 512):
             chunk = pair_idx[start:start + 512]
             diffs = np.abs(rows[chunk[:, 0]] - rows[chunk[:, 1]])
-            norms = batched_mean_norms(diffs, A, total_cells=total_cells)
+            norms = batched_mean_norms(diffs, A, scale)
             best = max(best, float(norms.max(initial=0.0)))
         values.append(U ** (1.0 - kernel.gamma) * best)
         clipped.append(False)

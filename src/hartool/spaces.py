@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sweeps import window_matrix, window_sums
-from .gauges import LinearGauge, MorreyWeight, YoungFunction
+from ._sweeps import cube_sweep, norms_by_size
+from .gauges import (LinearGauge, MorreyWeight, YoungFunction, batched_mean_norms,
+                     luxemburg_raw_norm)
 from .geometry import Cube, CubeFamily, Grid, SampledFunction, concentric_box, dilate, integrate
 from .maximal import fractional_maximal
 
@@ -40,71 +41,7 @@ __all__ = [
 
 _SNAP = 1e-9
 TRUNCATION_FACTOR = 2.0  # sup over t runs up to this multiple of the domain side
-
-
-def _raw_norms_by_size(vals: np.ndarray, A: YoungFunction, family: CubeFamily):
-    """Yield (m, corner-flattened raw Luxemburg norms) over the family.
-
-    Raw norms divide nothing by |Q|; for a pure power gauge the closed form
-    (scale * int |f|^p)^(1/p) applies and is used directly."""
-    grid = family.grid
-    n = grid.cells_per_side
-    dim = grid.dim
-    cellm = grid.h**dim
-    power = A.power_form()
-    pw = vals ** power[0] if power is not None else None
-    for m in family.sizes():
-        ncells = m**dim
-        if family.kind == "all":
-            if power is not None:
-                sums = np.maximum(window_sums(pw, m).ravel(), 0.0)  # cancellation guard
-                norms = (power[1] * sums * cellm) ** (1.0 / power[0])
-            else:
-                norms = _batched_raw(window_matrix(vals, m), A, cellm)
-        else:
-            if dim == 1:
-                rows = (pw if power is not None else vals).reshape(n // m, m)
-            else:
-                rows = (pw if power is not None else vals).reshape(n // m, m, n // m, m) \
-                    .transpose(0, 2, 1, 3).reshape(-1, ncells)
-            if power is not None:
-                norms = (power[1] * np.maximum(rows.sum(axis=1), 0.0) * cellm) ** (1.0 / power[0])
-            else:
-                norms = _batched_raw(rows, A, cellm)
-        yield m, norms
-
-
-def _batched_raw(rows: np.ndarray, A: YoungFunction, cellm: float) -> np.ndarray:
-    """Raw Luxemburg norms per row: smallest lam with cellm * sum A(|v|/lam) <= 1."""
-    w = np.abs(rows)
-    vmax = w.max(axis=1)
-    live = vmax > 0
-    out = np.zeros(w.shape[0])
-    if not live.any():
-        return out
-    wl = w[live]
-    hi = vmax[live].copy()
-    cond = lambda lam: np.sum(A.value(wl / lam[:, None]), axis=1) * cellm
-    for _ in range(200):
-        bad = cond(hi) > 1.0
-        if not bad.any():
-            break
-        hi[bad] *= 2.0
-    lo = hi.copy()
-    for _ in range(200):
-        cand = lo / 2.0
-        done = cond(cand) > 1.0
-        lo = np.where(done, lo, cand)
-        if done.all():
-            break
-    lo = lo / 2.0
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        good = cond(mid) <= 1.0
-        hi = np.where(good, mid, hi)
-        lo = np.where(good, lo, mid)
-    out[live] = hi
-    return out
+CAMPANATO_TERNARY_ITERS = 90  # ternary steps for the per-cube best constant
 
 
 def _phi_inverse_of_inverse_measure(Phi: YoungFunction, meas: float) -> float:
@@ -117,62 +54,38 @@ def _phi_inverse_of_inverse_measure(Phi: YoungFunction, meas: float) -> float:
 def morrey_norm(f: SampledFunction, Phi: YoungFunction, phi: MorreyWeight,
                 family: CubeFamily) -> float:
     """sup over family cubes of (1/phi(x, l)) Phi^{-1}(1/|Q|) ||f||_{Phi,Q}."""
-    grid = f.grid
-    vals = np.abs(f.values)
+    h = f.grid.h
     best = 0.0
-    for m, norms in _raw_norms_by_size(vals, Phi, family):
-        l = m * grid.h
-        meas = l**grid.dim
-        factor = _phi_inverse_of_inverse_measure(Phi, meas) / float(phi.value(None, l))
+    for sweep, norms in norms_by_size(f.values, Phi, family, raw=True):
+        l = sweep.m * h
+        factor = _phi_inverse_of_inverse_measure(Phi, l**f.grid.dim) / float(phi.value(None, l))
         best = max(best, factor * float(norms.max(initial=0.0)))
     return best
 
 
-def _windows_by_size(vals: np.ndarray, family: CubeFamily):
-    grid = family.grid
-    n = grid.cells_per_side
-    for m in family.sizes():
-        if family.kind == "all":
-            yield m, window_matrix(vals, m)
-        else:
-            if grid.dim == 1:
-                yield m, vals.reshape(n // m, m)
-            else:
-                yield m, vals.reshape(n // m, m, n // m, m).transpose(0, 2, 1, 3).reshape(-1, m * m)
-
-
-def _raw_norm_rows(rows: np.ndarray, A: YoungFunction, cellm: float) -> np.ndarray:
-    power = A.power_form()
-    if power is not None:
-        sums = (np.abs(rows) ** power[0]).sum(axis=1)
-        return (power[1] * sums * cellm) ** (1.0 / power[0])
-    return _batched_raw(rows, A, cellm)
-
-
 def campanato_seminorm(f: SampledFunction, Phi: YoungFunction, phi: MorreyWeight,
-                       family: CubeFamily, ternary_iters: int = 90) -> float:
+                       family: CubeFamily) -> float:
     """Morrey-type sup with the per-cube best constant removed.
 
     The per-cube map c -> ||f - c||_{Phi,Q} is convex and is minimized by
-    ternary search on [min_Q f, max_Q f]; constants are annihilated and the
-    seminorm is shift invariant."""
-    grid = f.grid
-    cellm = grid.h**grid.dim
+    CAMPANATO_TERNARY_ITERS steps of ternary search on [min_Q f, max_Q f];
+    constants are annihilated and the seminorm is shift invariant."""
+    h = f.grid.h
     best = 0.0
-    for m, rows in _windows_by_size(f.values, family):
-        l = m * grid.h
-        meas = l**grid.dim
+    for sweep in cube_sweep(family):
+        rows = sweep.rows(f.values)
+        l = sweep.m * h
+        meas = l**f.grid.dim
+        raw = lambda c: batched_mean_norms(rows - c[:, None], Phi, meas)
         lo = rows.min(axis=1)
         hi = rows.max(axis=1)
-        for _ in range(ternary_iters):
+        for _ in range(CAMPANATO_TERNARY_ITERS):
             c1 = lo + (hi - lo) / 3.0
             c2 = hi - (hi - lo) / 3.0
-            n1 = _raw_norm_rows(rows - c1[:, None], Phi, cellm)
-            n2 = _raw_norm_rows(rows - c2[:, None], Phi, cellm)
-            take = n1 < n2
+            take = raw(c1) < raw(c2)
             hi = np.where(take, c2, hi)
             lo = np.where(take, lo, c1)
-        norms = _raw_norm_rows(rows - (0.5 * (lo + hi))[:, None], Phi, cellm)
+        norms = raw(0.5 * (lo + hi))
         factor = _phi_inverse_of_inverse_measure(Phi, meas) / float(phi.value(None, l))
         best = max(best, factor * float(norms.max(initial=0.0)))
     return best
@@ -222,8 +135,6 @@ def prop51_gap(f: SampledFunction, Phi: YoungFunction, Psi: YoungFunction,
     if maximal_family is None:
         maximal_family = CubeFamily(grid, "all")
     mf = fractional_maximal(f, gamma, LinearGauge(1.0), maximal_family)
-    from .gauges import luxemburg_raw_norm
-
     lhs = luxemburg_raw_norm(mf, Q, Psi)
     l = Q.side_length
     h = grid.h

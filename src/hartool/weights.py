@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sweeps import window_matrix, window_sums
-from .gauges import YoungFunction, batched_mean_norms
+from ._sweeps import cube_sweep, norms_by_size
+from .gauges import YoungFunction
 from .geometry import Cube, CubeFamily, SampledFunction
 
 __all__ = [
@@ -144,7 +144,9 @@ def ap_constant(w: SampledFunction, p: float, family: CubeFamily) -> float:
         raise ValueError("weight must be strictly positive for this diagnostic")
     winv = w.values ** (-1.0 / (p - 1.0))
     best = 0.0
-    for m, mean_w, mean_wi in _paired_means(w.values, winv, family):
+    for sweep in cube_sweep(family):
+        ncells = sweep.m**w.grid.dim
+        mean_w, mean_wi = sweep.sums(w.values) / ncells, sweep.sums(winv) / ncells
         best = max(best, float((mean_w * mean_wi ** (p - 1.0)).max()))
     return best
 
@@ -157,52 +159,11 @@ def ainfty_constant(w: SampledFunction, family: CubeFamily) -> float:
         raise ValueError("weight must be strictly positive for this diagnostic")
     neglog = -np.log(w.values)
     best = 0.0
-    for m, mean_w, mean_nl in _paired_means(w.values, neglog, family):
+    for sweep in cube_sweep(family):
+        ncells = sweep.m**w.grid.dim
+        mean_w, mean_nl = sweep.sums(w.values) / ncells, sweep.sums(neglog) / ncells
         best = max(best, float((mean_w * np.exp(mean_nl)).max()))
     return best
-
-
-def _paired_means(a: np.ndarray, b: np.ndarray, family: CubeFamily):
-    n = family.grid.cells_per_side
-    dim = family.grid.dim
-    for m in family.sizes():
-        ncells = m**dim
-        if family.kind == "all":
-            yield m, window_sums(a, m) / ncells, window_sums(b, m) / ncells
-        else:
-            if dim == 1:
-                yield m, a.reshape(n // m, m).sum(1) / ncells, b.reshape(n // m, m).sum(1) / ncells
-            else:
-                sa = a.reshape(n // m, m, n // m, m).sum(axis=(1, 3)) / ncells
-                sb = b.reshape(n // m, m, n // m, m).sum(axis=(1, 3)) / ncells
-                yield m, sa, sb
-
-
-def _mean_norms_by_size(vals: np.ndarray, A: YoungFunction, family: CubeFamily):
-    """Yield (m, corner-flattened mean-normalized Luxemburg norms)."""
-    n = family.grid.cells_per_side
-    dim = family.grid.dim
-    power = A.power_form()
-    pw = vals ** power[0] if power is not None else None
-    for m in family.sizes():
-        ncells = m**dim
-        if family.kind == "all":
-            if power is not None:
-                sums = np.maximum(window_sums(pw, m).ravel(), 0.0)  # cancellation guard
-                norms = (power[1] * sums / ncells) ** (1.0 / power[0])
-            else:
-                norms = batched_mean_norms(window_matrix(vals, m), A)
-        else:
-            if dim == 1:
-                rows = (pw if power is not None else vals).reshape(n // m, m)
-            else:
-                rows = (pw if power is not None else vals).reshape(n // m, m, n // m, m) \
-                    .transpose(0, 2, 1, 3).reshape(-1, ncells)
-            if power is not None:
-                norms = (power[1] * np.maximum(rows.sum(axis=1), 0.0) / ncells) ** (1.0 / power[0])
-            else:
-                norms = batched_mean_norms(rows, A)
-        yield m, norms
 
 
 def bump_condition(w: SampledFunction, v: SampledFunction, A: YoungFunction,
@@ -223,10 +184,10 @@ def bump_condition(w: SampledFunction, v: SampledFunction, A: YoungFunction,
     wpow = w.values ** (r / q)
     vpow = v.values ** (-r / p)
     exponent = gamma * r + r / q - r / p
-    norms_v = dict(_mean_norms_by_size(vpow, B, family))
+    norms_v = [norms for _, norms in norms_by_size(vpow, B, family)]
     best = 0.0
-    for m, norms_w in _mean_norms_by_size(wpow, A, family):
-        meas = (m * h) ** dim
-        prod = meas**exponent * norms_w * norms_v[m]
+    for (sweep, norms_w), nv in zip(norms_by_size(wpow, A, family), norms_v):
+        meas = (sweep.m * h) ** dim
+        prod = meas**exponent * norms_w * nv
         best = max(best, float(prod.max()))
     return best

@@ -31,21 +31,25 @@ def test_run_writes_report_and_exits_zero(tmp_path, capsys):
 
 
 def test_run_with_witnesses_and_csv(tmp_path):
-    cfg = default_config("thm21", grid_sizes=(16,), suite={"kind": "mixed", "count": 2})
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg.to_json_dict()))
-    out_path = tmp_path / "report.json"
-    csv_dir = tmp_path / "csv"
-    code = run_cli("run", "--config", str(cfg_path), "--out", str(out_path),
-                   "--witnesses", "--csv", str(csv_dir))
-    assert code == 0
-    report = json.loads(out_path.read_text())
-    diag = report["witness_diagnostics"]["16"]
-    assert "argmax_cube" in diag and "witness_center" in diag
-    files = sorted(csv_dir.glob("thm21_N16_*.csv"))
-    assert len(files) == 2  # one per suite function
-    header = files[0].read_text().splitlines()
-    assert header[1].split(",") == ["i0", "lhs", "rhs"]
+    # thm21 dumps one pointwise array per suite function; thm31 one scalar
+    # pair per (function, weight) at the best median level t
+    for ineq, nfiles in (("thm21", 2), ("thm31", 2 * 10)):
+        cfg = default_config(ineq, grid_sizes=(16,), suite={"kind": "mixed", "count": 2})
+        cfg_path = tmp_path / f"{ineq}.json"
+        cfg_path.write_text(json.dumps(cfg.to_json_dict()))
+        out_path = tmp_path / f"{ineq}_report.json"
+        csv_dir = tmp_path / "csv"
+        code = run_cli("run", "--config", str(cfg_path), "--out", str(out_path),
+                       "--witnesses", "--csv", str(csv_dir))
+        assert code == 0
+        report = json.loads(out_path.read_text())
+        if ineq == "thm21":
+            diag = report["witness_diagnostics"]["16"]
+            assert "argmax_cube" in diag and "witness_center" in diag
+        files = sorted(csv_dir.glob(f"{ineq}_N16_*.csv"))
+        assert len(files) == nfiles
+        header = files[0].read_text().splitlines()
+        assert header[1].split(",") == ["i0", "lhs", "rhs"]
 
 
 def test_run_rejects_bad_config(tmp_path, capsys):

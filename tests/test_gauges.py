@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from hartool import (BorderlineLogModulus, ConjugateGauge, Cube, ExpPowerGauge,
-                     Grid, HolderModulus, LinearGauge, LogModulus, PowerGauge,
+from hartool import (BorderlineLogModulus, ConjugateGauge, Cube, CubeFamily,
+                     ExpPowerGauge, Grid, HolderModulus, LinearGauge, LogModulus, PowerGauge,
                      PowerLawWeight, PowerLogGauge, SampledFunction,
                      ScaledPowerGauge, TabulatedWeight, bump_norm, conjugate,
                      dini_integral, evaluate, inverse, luxemburg_mean_norm,
                      luxemburg_raw_norm, modulus_from_json, young_from_json)
+from hartool.gauges import batched_mean_norms
 
 ALL_GAUGES = [
     PowerGauge(2.0),
@@ -136,6 +137,34 @@ def test_luxemburg_homogeneity_and_monotonicity():
         assert luxemburg_mean_norm(bigger, q, gauge) >= luxemburg_mean_norm(f, q, gauge) - 1e-12
         assert luxemburg_raw_norm(f.scaled(-alpha), q, gauge) == pytest.approx(
             alpha * luxemburg_raw_norm(f, q, gauge), rel=1e-10)
+
+
+@pytest.mark.parametrize("gauge", [PowerLogGauge(2.0, 1.0), ExpPowerGauge(1.0),
+                                   ConjugateGauge(PowerLogGauge(2.0, 1.0))],
+                         ids=["power_log", "exp_power", "conjugate"])
+def test_batched_norms_match_one_row_batches_and_scalar_norms(gauge):
+    rng = np.random.default_rng(14)
+    for g in (Grid(1, 16, 2.0), Grid(2, 8, 2.0)):
+        vals = rng.uniform(-2, 2, g.shape)
+        vals.ravel()[:2] = 0.0  # a zero window at m = 1
+        f = SampledFunction(g, vals)
+        for m in (1, 3, 5):
+            cubes = [q for q in CubeFamily(g, "all").iter_cubes() if q.side_cells == m]
+            rows = np.array([f.values[q.slices].ravel() for q in cubes])
+            scale = 0.3
+            batch = batched_mean_norms(rows, gauge, scale)
+            singles = [batched_mean_norms(r[None, :], gauge, scale)[0] for r in rows]
+            assert np.array_equal(batch, singles)
+            # smallest feasible lambda, to the solver's relative tolerance
+            live = batch > 0
+            cond = lambda lam: scale * np.mean(
+                gauge.value(np.abs(rows[live]) / lam[:, None]), axis=1)
+            assert np.all(cond(batch[live]) <= 1.0)
+            assert np.all(cond(batch[live] * (1 - 1e-12)) > 1.0)
+            assert np.array_equal(batched_mean_norms(rows, gauge),
+                                  [luxemburg_mean_norm(f, q, gauge) for q in cubes])
+            assert np.array_equal(batched_mean_norms(rows, gauge, cubes[0].measure),
+                                  [luxemburg_raw_norm(f, q, gauge) for q in cubes])
 
 
 def test_holder_inequality_mean_norms():

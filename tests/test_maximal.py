@@ -153,18 +153,19 @@ def test_fractional_maximal_jensen_ordering():
 
 
 def test_fractional_maximal_generic_gauge_matches_power_fast_path():
-    rng = np.random.default_rng(10)
-    g = Grid(1, 32)
-    f = SampledFunction(g, rng.uniform(-2, 2, 32))
-    fam = CubeFamily(g, "all")
-    fast = fractional_maximal(f, 0.25, PowerGauge(2.0), fam).values
-
     class OpaquePower(PowerGauge):
         def power_form(self):
             return None
 
-    slow = fractional_maximal(f, 0.25, OpaquePower(2.0), fam).values
-    np.testing.assert_allclose(slow, fast, rtol=1e-10)
+    rng = np.random.default_rng(10)
+    for dim, n in ((1, 32), (2, 8)):
+        g = Grid(dim, n)
+        f = SampledFunction(g, rng.uniform(-2, 2, g.shape))
+        for kind in ("all", "dyadic"):
+            fam = CubeFamily(g, kind)
+            fast = fractional_maximal(f, 0.25, PowerGauge(2.0), fam).values
+            slow = fractional_maximal(f, 0.25, OpaquePower(2.0), fam).values
+            np.testing.assert_allclose(slow, fast, rtol=1e-10)
 
 
 def test_fractional_maximal_dyadic_families():
@@ -227,31 +228,33 @@ def test_2d_engine_matches_exhaustive_enumeration():
     rng = np.random.default_rng(42)
     g = Grid(2, 8)
     f = SampledFunction(g, rng.integers(-2 * 2**20, 2 * 2**20, size=(8, 8)) * 2.0**-20)
-    fam = CubeFamily(g, "all")
     q0 = Cube(g, (0, 0), 8)
-    ls = local_sharp_maximal(f, 0.5, q0, fam).values
-    mf = fractional_maximal(f, 0.25, LinearGauge(1.0), fam).values
-    si = sup_inf_over_cubes(f, fam).values
-    for i in range(8):
-        for j in range(8):
-            cubes = list(fam.iter_cubes(containing=(i, j)))
-            assert ls[i, j] == max(brute_force_sharp(f.values[q.slices], 0.5) for q in cubes)
-            ref_max = max(q.measure**0.25 * np.mean(np.abs(f.values[q.slices])) for q in cubes)
-            assert mf[i, j] == pytest.approx(ref_max, rel=1e-12)
-            assert si[i, j] == max(f.values[q.slices].min() for q in cubes)
+    for kind in ("all", "dyadic"):
+        fam = CubeFamily(g, kind)
+        ls = local_sharp_maximal(f, 0.5, q0, fam).values
+        mf = fractional_maximal(f, 0.25, LinearGauge(1.0), fam).values
+        si = sup_inf_over_cubes(f, fam).values
+        for i in range(8):
+            for j in range(8):
+                cubes = list(fam.iter_cubes(containing=(i, j)))
+                assert ls[i, j] == max(brute_force_sharp(f.values[q.slices], 0.5) for q in cubes)
+                ref_max = max(q.measure**0.25 * np.mean(np.abs(f.values[q.slices])) for q in cubes)
+                assert mf[i, j] == pytest.approx(ref_max, rel=1e-12)
+                assert si[i, j] == max(f.values[q.slices].min() for q in cubes)
 
 
 def test_2d_local_sharp_restricted_base_cube_exhaustive():
     rng = np.random.default_rng(43)
     g = Grid(2, 8)
     f = SampledFunction(g, rng.integers(-2 * 2**20, 2 * 2**20, size=(8, 8)) * 2.0**-20)
-    fam = CubeFamily(g, "all")
-    q0 = Cube(g, (1, 2), 5)
-    out = local_sharp_maximal(f, 0.5, q0, fam).values
-    for i in range(1, 6):
-        for j in range(2, 7):
-            cubes = [q for q in fam.iter_cubes(containing=(i, j))
-                     if all(q0.corner[d] <= q.corner[d]
-                            and q.corner[d] + q.side_cells <= q0.corner[d] + 5
-                            for d in range(2))]
-            assert out[i, j] == max(brute_force_sharp(f.values[q.slices], 0.5) for q in cubes)
+    q0 = Cube(g, (1, 2), 5)  # not aligned to the dyadic lattice
+    for kind in ("all", "dyadic"):
+        fam = CubeFamily(g, kind)
+        out = local_sharp_maximal(f, 0.5, q0, fam).values
+        for i in range(1, 6):
+            for j in range(2, 7):
+                cubes = [q for q in fam.iter_cubes(containing=(i, j))
+                         if all(q0.corner[d] <= q.corner[d]
+                                and q.corner[d] + q.side_cells <= q0.corner[d] + 5
+                                for d in range(2))]
+                assert out[i, j] == max(brute_force_sharp(f.values[q.slices], 0.5) for q in cubes)
