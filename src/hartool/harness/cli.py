@@ -117,7 +117,7 @@ def main(argv=None) -> int:
                        help="include per-cube witness diagnostics")
     p_run.add_argument("--csv", help="directory for per-point LHS/RHS CSV dumps")
     p_run.add_argument("--threads", type=int, default=None,
-                       help="override the config thread count")
+                       help="accepted and ignored: runs are serial (kept for compatibility)")
     p_run.set_defaults(func=_cmd_run)
 
     p_list = sub.add_parser("list", help="list inequality ids and their parameters")

@@ -100,7 +100,7 @@ class ExperimentConfig:
     origin: tuple[float, ...] | None = None
     seed: int = 7
     stability_factor: float = 2.0
-    threads: int = 1
+    threads: int = 1  # accepted and validated; runs are serial
 
     gamma: float = 0.5
     r: float = 1.0

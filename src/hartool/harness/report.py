@@ -1,7 +1,8 @@
 """Report records and canonical JSON serialization.
 
-Reports are byte-identical for identical (config, seed) pairs regardless
-of thread count: keys are sorted, floats use repr via the json module,
+Reports are byte-identical for identical (config, seed) pairs; the
+config's ``threads`` field is accepted, ignored by the serial runners and
+left out of the echo.  Keys are sorted, floats use repr via the json module,
 non-finite numbers are encoded as the strings "inf"/"-inf"/"nan", and no
 timestamps or environment data enter the payload.
 """

@@ -367,11 +367,8 @@ def kernel_matrix(kernel: KernelSpec, grid: Grid) -> np.ndarray:
     h = grid.h
     cellm = h**grid.dim
     K = np.empty((n, n))
-    block = max(1, int(2_000_000 // max(n, 1)))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        for i in range(start, stop):
-            K[i] = kernel.value_at(centers[i], centers)
+    for i in range(n):
+        K[i] = kernel.value_at(centers[i], centers)
     # fix singular cells
     for i in range(n):
         x = centers[i]

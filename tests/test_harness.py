@@ -7,7 +7,7 @@ from hartool import Cube, Grid, RieszKernel, SampledFunction, apply_kernel, inte
 from hartool.harness import (ConfigError, ExperimentConfig, default_config,
                              generate_suite, median_decay_check,
                              reevaluate_witness, refinement_study, run_inequality)
-from hartool.harness.inequalities import RatioCollector
+from hartool.harness.inequalities import RatioCollector, witness_diagnostics
 from hartool.harness.report import sanitize
 from hartool.harness.suite import draw_suite_params
 
@@ -150,6 +150,23 @@ def test_witness_reevaluation_reproduces_ratio():
     assert lhs / rhs == pytest.approx(wit["ratio"], rel=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("ineq", ["eq12", "thm21", "thm22", "thm23"])
+def test_witness_diagnostics_explain_the_witness(ineq, dim):
+    # the diagnosed argmax cube contains the witness point and attains its
+    # left side: the sharp median exactly; for eq12 the maximal average up
+    # to rounding (in 2D it goes through the scalar Luxemburg norm)
+    cfg = default_config(ineq, dim=dim, grid_sizes=(16,))
+    wit = run_inequality(cfg).grids[0].witness
+    diag = witness_diagnostics(cfg, 16, wit)
+    cube = diag["argmax_cube"]
+    assert all(c <= x < c + cube["side_cells"] for c, x in zip(cube["corner"], wit["point"]))
+    if ineq == "eq12":
+        assert diag["argmax_value"] == pytest.approx(wit["lhs"], rel=1e-12)
+    else:
+        assert diag["sharp_value"] == wit["lhs"]
+
+
 def test_refinement_study_requires_two_sizes():
     cfg = default_config("eq12", grid_sizes=(32,))
     with pytest.raises(ConfigError):
@@ -241,7 +258,7 @@ def test_refinement_verdict_fails_on_growth(monkeypatch):
     def fake_runner(cfg, n):
         col = ineq.RatioCollector()
         col.add_scalar(float(n), 1.0, {"function": 0})  # c_emp grows like N
-        return col, {}, None
+        return col, {}
 
     monkeypatch.setitem(ineq._RUNNERS, "eq12", fake_runner)
     rep = run_inequality(default_config("eq12", grid_sizes=(32, 128)))
