@@ -18,6 +18,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import INEQUALITY_CATALOG, ConfigError, ExperimentConfig
 from .inequalities import run_inequality, witness_diagnostics
 from .oracles import ORACLE_NAMES, run_oracle
@@ -40,7 +42,6 @@ def _csv_sink_factory(outdir: Path):
             writer.writerow(["tag", json.dumps(sanitize(tag), sort_keys=True)])
             dim = len(shape)
             writer.writerow([f"i{d}" for d in range(dim)] + ["lhs", "rhs"])
-            import numpy as np
             for flat in range(lhs.size):
                 point = list(np.unravel_index(flat, shape))
                 writer.writerow([int(v) for v in point] + [repr(float(lhs[flat])), repr(float(rhs[flat]))])

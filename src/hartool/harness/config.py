@@ -302,6 +302,10 @@ class ExperimentConfig:
         if self.weight_pair.get("mode", "maximal") not in ("maximal", "same", "condition_f", "unit"):
             raise ConfigError("hypothesis violated: weight_pair mode must be one of "
                               "maximal, same, condition_f, unit")
+        if (self.inequality_id in ("thm31", "eq33", "thm42")
+                and self.weight_pair.get("mode") == "condition_f"):
+            raise ConfigError("weight_pair mode condition_f requires explicit weight pairs; "
+                              "use mode maximal, same, or unit here")
         # descriptor sanity: everything must construct
         self.resolved_kernel() if needs_kernel_gamma else None
         self.resolved_gauge("gauge_phi")

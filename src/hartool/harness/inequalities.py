@@ -245,19 +245,15 @@ def _resample_through(g: SampledFunction, mat: np.ndarray) -> SampledFunction:
     pts = grid.cell_centers()
     pre = pts @ np.linalg.inv(mat).T
     n = grid.cells_per_side
-    idx = []
-    for d in range(grid.dim):
-        j = np.floor((pre[:, d] - grid.origin[d]) / grid.h).astype(int)
-        idx.append(np.clip(j, 0, n - 1))
-    flat = idx[0] if grid.dim == 1 else np.ravel_multi_index(idx, grid.shape)
+    idx = np.clip(np.floor((pre - np.asarray(grid.origin)) / grid.h).astype(int), 0, n - 1)
+    flat = idx @ n ** np.arange(grid.dim)[::-1]
     return SampledFunction(grid, g.values.ravel()[flat].reshape(grid.shape),
                            name=f"resampled[{g.name}]")
 
 
 def _grid_thm23(cfg, n):
     ctx = _build_ctx(cfg, n)
-    mats = [np.asarray(m, float).reshape(ctx.grid.dim, ctx.grid.dim)
-            for m in ctx.kernel._matrices()]
+    mats = ctx.kernel._matrices()
     col = RatioCollector()
     for i, f in enumerate(ctx.functions):
         tf = apply_kernel(ctx.kernel, f)
@@ -280,6 +276,7 @@ def _resolve_pair_weight(cfg, ctx, w: SampledFunction) -> SampledFunction:
         return w
     if mode == "unit":
         return SampledFunction.constant(ctx.grid, 1.0, "unit")
+    # validate() rejects this too; configs built without it still reach here
     raise ConfigError("weight_pair mode condition_f requires explicit weight pairs; "
                       "use mode maximal, same, or unit here")
 

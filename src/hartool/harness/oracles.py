@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from ..gauges import (BorderlineLogModulus, HolderModulus, LogModulus, PowerGauge,
-                      ScaledPowerGauge, dini_integral, luxemburg_mean_norm,
+                      PowerLawWeight, ScaledPowerGauge, dini_integral, luxemburg_mean_norm,
                       luxemburg_raw_norm)
 from ..geometry import Cube, CubeFamily, Grid, SampledFunction, enumerate_cubes
 from ..maximal import local_sharp_maximal, sharp_median, _window_count
@@ -198,7 +198,6 @@ def _oracle_morrey(seed: int) -> list[OracleCase]:
         f = SampledFunction(grid, rng.uniform(-2, 2, size=n))
         p, lam = 2.0, 0.5
         sigma = (lam - grid.dim) / p
-        from ..gauges import PowerLawWeight
         phi = PowerLawWeight(sigma)
         got = morrey_norm(f, PowerGauge(p), phi, family)
         ref = 0.0

@@ -13,7 +13,9 @@ cell instead of the midpoint value.  In 1D the singular factor is
 integrated exactly (closed form) and any smooth factors are evaluated at
 the cell center; in 2D a 4-level dyadic subdivision is used with the
 innermost level dropped, which errs low by an O(h^(n gamma)) term,
-consistently across operators.
+consistently across operators.  All 2D singular cells of a matrix go
+through one batched recursion, and `KernelSpec.value_at` broadcasts x
+against the rows of Y, so no loop calls the kernel one point at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauges import ModulusOmega, YoungFunction, batched_mean_norms
+from .gauges import ModulusOmega, YoungFunction, batched_mean_norms, modulus_from_json
 from .geometry import Cube, Grid, SampledFunction, dilate, unclipped_dilate_measure
 
 __all__ = [
@@ -72,7 +74,7 @@ class SphereFunction:
     def value(self, direction: np.ndarray) -> np.ndarray:
         d = np.asarray(direction, dtype=float)
         if self.dim == 1:
-            sign = d.reshape(-1) if d.ndim > 1 else d
+            sign = d[..., 0] if d.ndim > 1 else d
             return np.where(sign > 0, self.pos, self.neg)
         theta = np.arctan2(d[..., 1], d[..., 0])
         out = np.zeros_like(theta)
@@ -96,7 +98,11 @@ class KernelSpec:
     gamma: float
 
     def value_at(self, x: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """k(x, y) for one x (shape (dim,)) against rows of Y (k, dim)."""
+        """k(x, y) for x (..., dim) broadcast against the rows of Y (..., k, dim).
+
+        X[:, None] against Y (k, dim) equals stacking value_at(X[i], Y) bit
+        for bit.  The homogeneous kernel maps Y by matmul, whose rounding can
+        depend on k; (B, 1, dim) x and Y reproduce B one-row calls exactly."""
         raise NotImplementedError
 
     def singular_points(self, x: np.ndarray) -> list[np.ndarray]:
@@ -221,7 +227,7 @@ class HomogeneousKernel(KernelSpec):
 
     def value_at(self, x, Y):
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        out = np.ones(Y.shape[0])
+        out = 1.0
         with np.errstate(divide="ignore"):
             for mat, g in zip(self._matrices(), self.exponents):
                 r = np.linalg.norm(Y @ mat.T - x, axis=-1)
@@ -244,8 +250,6 @@ class HomogeneousKernel(KernelSpec):
 
 
 def kernel_from_json(data: dict) -> KernelSpec:
-    from .gauges import modulus_from_json
-
     variant = data.get("variant")
     if variant == "riesz":
         return RieszKernel(dim=int(data["dim"]), gamma=float(data["gamma"]))
@@ -282,66 +286,61 @@ def _power_segment_integral(x: float, lo: float, hi: float, g: float) -> float:
     return F(x - lo) + F(hi - x)
 
 
-def _subdivision_integral(kfunc, lo: np.ndarray, hi: np.ndarray, sing: list[np.ndarray],
-                          depth: int = 0) -> float:
-    """Integral of the kernel over the box [lo, hi] by dyadic subdivision.
+def _subdivision_integral(kernel: KernelSpec, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                          points: np.ndarray, depth: int = 0) -> np.ndarray:
+    """Integrals of k(x_b, .) over the boxes [lo_b, hi_b] by dyadic subdivision.
 
-    Children containing a singular point recurse; the rest use the midpoint
-    value.  At SUBDIVISION_LEVELS the remaining singular child is dropped
-    (integrable singularity)."""
+    x, lo, hi are (B, dim); points (B, S, dim) holds each box's singular
+    points, NaN rows as padding.  Children containing a singular point
+    recurse; the rest use the midpoint value.  At SUBDIVISION_LEVELS the
+    remaining singular child is dropped (integrable singularity).  A box's
+    value does not depend on the batch it is in."""
+    total = np.zeros(lo.shape[0])
     if depth >= SUBDIVISION_LEVELS:
-        return 0.0
-    dim = lo.size
+        return total
+    dim = lo.shape[1]
     mid = 0.5 * (lo + hi)
-    total = 0.0
     for mask in range(1 << dim):
-        clo = np.array([mid[d] if (mask >> d) & 1 else lo[d] for d in range(dim)])
-        chi = np.array([hi[d] if (mask >> d) & 1 else mid[d] for d in range(dim)])
-        inside = [p for p in sing if np.all((p >= clo - 1e-15) & (p <= chi + 1e-15))]
-        if inside:
-            total += _subdivision_integral(kfunc, clo, chi, inside, depth + 1)
-        else:
-            center = 0.5 * (clo + chi)
-            total += float(kfunc(center[None, :])[0]) * float(np.prod(chi - clo))
+        upper = [(mask >> d) & 1 for d in range(dim)]
+        clo, chi = np.where(upper, mid, lo), np.where(upper, hi, mid)
+        near = (points >= clo[:, None] - 1e-15) & (points <= chi[:, None] + 1e-15)
+        hold = near.all(axis=-1).any(axis=1)
+        # one-row Y per box, as in a one-box call (see KernelSpec.value_at)
+        term = kernel.value_at(x[:, None], 0.5 * (clo + chi)[:, None])[:, 0]
+        term = term * np.prod(chi - clo, axis=-1)
+        if hold.any():
+            term[hold] = _subdivision_integral(kernel, x[hold], clo[hold], chi[hold],
+                                               points[hold], depth + 1)
+        total = total + term
     return total
 
 
-def _singular_cell_integral(kernel: KernelSpec, x: np.ndarray, cell_lo: np.ndarray,
-                            cell_hi: np.ndarray, points: list[np.ndarray]) -> float:
-    """Integral of k(x, .) over one source cell containing singular points."""
-    if kernel.dim == 1:
-        lo, hi = float(cell_lo[0]), float(cell_hi[0])
-        if isinstance(kernel, RieszKernel):
-            return _power_segment_integral(float(x[0]), lo, hi, kernel.exponent)
-        if isinstance(kernel, DiniKernel):
-            xx = float(x[0])
-            pos = _power_segment_integral(xx, lo, min(hi, xx), kernel.exponent) if xx > lo else 0.0
-            neg = _power_segment_integral(xx, max(lo, xx), hi, kernel.exponent) if xx < hi else 0.0
-            return kernel.sphere.pos * pos + kernel.sphere.neg * neg
-        if isinstance(kernel, HomogeneousKernel) and len(points) == 1:
-            mats = kernel._matrices()
-            xx = float(x[0])
-            center = 0.5 * (lo + hi)
-            sing_idx = None
-            for i, m in enumerate(mats):
-                p = xx / m[0, 0]
-                if lo - 1e-15 <= p <= hi + 1e-15:
-                    sing_idx = i
-                    break
-            if sing_idx is not None:
-                smooth = 1.0
-                for i, (m, g) in enumerate(zip(mats, kernel.exponents)):
-                    if i != sing_idx:
-                        smooth *= abs(xx - m[0, 0] * center) ** -g
-                a = mats[sing_idx][0, 0]
-                g = kernel.exponents[sing_idx]
-                u_lo, u_hi = sorted((a * lo, a * hi))
-                return smooth * _power_segment_integral(xx, u_lo, u_hi, g) / abs(a)
-        # several singular factors in one 1D cell: fall through to subdivision
-        kfunc = lambda Y: kernel.value_at(x, Y)
-        return _subdivision_integral(kfunc, cell_lo, cell_hi, points)
-    kfunc = lambda Y: kernel.value_at(x, Y)
-    return _subdivision_integral(kfunc, cell_lo, cell_hi, points)
+def _singular_cell_integral(kernel: KernelSpec, x: float, lo: float, hi: float,
+                            points: np.ndarray) -> float:
+    """Integral of k(x, .) over one 1D source cell [lo, hi] containing the
+    singular points `points` (S, 1), NaN rows as padding."""
+    if isinstance(kernel, RieszKernel):
+        return _power_segment_integral(x, lo, hi, kernel.exponent)
+    if isinstance(kernel, DiniKernel):
+        pos = _power_segment_integral(x, lo, min(hi, x), kernel.exponent) if x > lo else 0.0
+        neg = _power_segment_integral(x, max(lo, x), hi, kernel.exponent) if x < hi else 0.0
+        return kernel.sphere.pos * pos + kernel.sphere.neg * neg
+    if isinstance(kernel, HomogeneousKernel) and np.count_nonzero(~np.isnan(points[:, 0])) == 1:
+        mats = kernel._matrices()
+        sing_idx = next((i for i, m in enumerate(mats)
+                         if lo - 1e-15 <= x / m[0, 0] <= hi + 1e-15), None)
+        if sing_idx is not None:
+            smooth = 1.0
+            for i, (m, g) in enumerate(zip(mats, kernel.exponents)):
+                if i != sing_idx:
+                    smooth *= abs(x - m[0, 0] * (0.5 * (lo + hi))) ** -g
+            a = mats[sing_idx][0, 0]
+            g = kernel.exponents[sing_idx]
+            u_lo, u_hi = sorted((a * lo, a * hi))
+            return smooth * _power_segment_integral(x, u_lo, u_hi, g) / abs(a)
+    # several singular factors in one cell: subdivide it as a batch of one
+    return float(_subdivision_integral(kernel, np.array([[x]]), np.array([[lo]]),
+                                       np.array([[hi]]), points[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -365,25 +364,27 @@ def kernel_matrix(kernel: KernelSpec, grid: Grid) -> np.ndarray:
     centers = grid.cell_centers()
     n = centers.shape[0]
     h = grid.h
-    cellm = h**grid.dim
     K = np.empty((n, n))
     for i in range(n):
         K[i] = kernel.value_at(centers[i], centers)
-    # fix singular cells
-    for i in range(n):
-        x = centers[i]
-        cells: dict[int, list[np.ndarray]] = {}
-        for p in kernel.singular_points(x):
-            idx = grid.cell_of_point(p)
-            if idx is None:
-                continue
-            flat = int(np.ravel_multi_index(idx, grid.shape))
-            cells.setdefault(flat, []).append(p)
-        for flat, pts in cells.items():
-            idx = np.unravel_index(flat, grid.shape)
-            lo = np.array([grid.origin[d] + idx[d] * h for d in range(grid.dim)])
-            hi = lo + h
-            K[i, flat] = _singular_cell_integral(kernel, x, lo, hi, pts) / cellm
+    # singular cells: one group per (row, source cell) holding singular points
+    points = np.array([kernel.singular_points(x) for x in centers])  # (n, S, dim)
+    idx = np.floor((points - np.asarray(grid.origin)) / h).astype(int)
+    on_grid = np.all((idx >= 0) & (idx < grid.cells_per_side), axis=-1)
+    flat = np.where(on_grid, idx @ grid.cells_per_side ** np.arange(grid.dim)[::-1], -1)
+    # a group starts at each on-grid point whose row has no earlier point in its cell
+    rows, slots = np.nonzero(on_grid & ~np.tril(flat[:, :, None] == flat[:, None], -1).any(-1))
+    cells = flat[rows, slots]
+    # a group keeps its row's points in its own cell; the rest become NaN
+    group_points = np.where((flat[rows] == cells[:, None])[..., None], points[rows], np.nan)
+    lo = np.asarray(grid.origin) + idx[rows, slots] * h
+    if grid.dim == 1:
+        cell_integrals = [_singular_cell_integral(kernel, float(centers[r, 0]), float(lo[g, 0]),
+                                                  float(lo[g, 0] + h), group_points[g])
+                          for g, r in enumerate(rows)]
+    else:
+        cell_integrals = _subdivision_integral(kernel, centers[rows], lo, lo + h, group_points)
+    K[rows, cells] = np.asarray(cell_integrals) / h**grid.dim
     if len(_MATRIX_CACHE) >= _MATRIX_CACHE_MAX:
         _MATRIX_CACHE.pop(next(iter(_MATRIX_CACHE)))
     _MATRIX_CACHE[key] = K
@@ -428,9 +429,7 @@ def kernel_smoothness_ratio(kernel: KernelSpec, omega: ModulusOmega,
             redo = ~outside
             y[redo] = c[redo] + (rng.random((int(redo.sum()), dim)) - 0.5) * 16.0 * ell[redo, None]
             outside = np.max(np.abs(y - c), axis=1) > ell
-        kx = np.array([kernel.value_at(x[i], y[i][None, :])[0] for i in range(k)])
-        kxp = np.array([kernel.value_at(xp[i], y[i][None, :])[0] for i in range(k)])
-        num = np.abs(kx - kxp)
+        num = np.abs(kernel.value_at(x, y) - kernel.value_at(xp, y))
         dist_xy = np.linalg.norm(x - y, axis=1)
         dist_xxp = np.linalg.norm(x - xp, axis=1)
         om = omega.value(np.where(dist_xxp > 0, dist_xxp / dist_xy, 1.0))
@@ -493,12 +492,11 @@ def hormander_lambda(kernel: KernelSpec, Q: Cube, M: int, A: YoungFunction,
     qcenters = grid.cell_centers().reshape(grid.shape + (grid.dim,))[qslices].reshape(-1, grid.dim)
     nq = qcenters.shape[0]
     if nq * nq <= HORMANDER_MAX_PAIRS:
-        pairs = [(i, j) for i in range(nq) for j in range(nq)]
+        pair_idx = np.stack(np.divmod(np.arange(nq * nq), nq), axis=1)
     else:
         rng = np.random.default_rng(seed)
-        pairs = list(zip(rng.integers(0, nq, HORMANDER_MAX_PAIRS),
-                         rng.integers(0, nq, HORMANDER_MAX_PAIRS)))
-    pair_idx = np.array(pairs, dtype=int)
+        pair_idx = np.stack([rng.integers(0, nq, HORMANDER_MAX_PAIRS),
+                             rng.integers(0, nq, HORMANDER_MAX_PAIRS)], axis=1)
     for m in range(1, M + 1):
         outer = dilate(Q, m + 1)
         inner = dilate(Q, m)
@@ -511,9 +509,7 @@ def hormander_lambda(kernel: KernelSpec, Q: Cube, M: int, A: YoungFunction,
             clipped.append(True)
             continue
         ann_centers = grid.cell_centers()[mask.ravel()]
-        rows = np.empty((nq, ncols))
-        for i in range(nq):
-            rows[i] = kernel.value_at(qcenters[i], ann_centers)
+        rows = kernel.value_at(qcenters[:, None], ann_centers)
         U = unclipped_dilate_measure(Q, m + 1)
         scale = ncols / outer.ncells  # rows vanish on the rest of the clipped dilate
         best = 0.0

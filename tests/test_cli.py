@@ -59,6 +59,15 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert "r < p < q" in capsys.readouterr().err
 
 
+def test_run_rejects_condition_f_weight_pair(tmp_path, capsys):
+    cfg_path = tmp_path / "cond.json"
+    cfg_path.write_text(json.dumps({"inequality_id": "eq33", "grid_sizes": [16, 32],
+                                    "weight_pair": {"mode": "condition_f"}}))
+    assert run_cli("run", "--config", str(cfg_path)) == 2
+    err = capsys.readouterr().err
+    assert "config rejected" in err and "condition_f" in err
+
+
 def test_threads_override(tmp_path):
     cfg = default_config("eq12", grid_sizes=(16,), suite={"kind": "mixed", "count": 2})
     cfg_path = tmp_path / "cfg.json"

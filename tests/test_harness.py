@@ -34,6 +34,9 @@ def test_config_named_hypothesis_messages():
         default_config("eq12", grid_sizes=(48,))
     with pytest.raises(ConfigError, match="homogeneous"):
         default_config("thm23", kernel={"variant": "riesz", "gamma": 0.5})
+    for ineq in ("thm31", "eq33", "thm42"):
+        with pytest.raises(ConfigError, match="condition_f requires explicit weight pairs"):
+            default_config(ineq, weight_pair={"mode": "condition_f"})
 
 
 def test_config_round_trip():

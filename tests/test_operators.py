@@ -7,7 +7,7 @@ from hartool import (Cube, DiniKernel, Grid, HolderModulus, HomogeneousKernel,
                      LinearGauge, RieszKernel, SampledFunction, SphereFunction,
                      apply_kernel, hormander_lambda, kernel_from_json,
                      kernel_smoothness_ratio, omega_lambda)
-from hartool.operators import LambdaSequence
+from hartool.operators import SUBDIVISION_LEVELS, LambdaSequence, kernel_matrix
 
 
 def test_riesz_analytic_value():
@@ -213,3 +213,79 @@ def test_hormander_lambda_sampled_pairs_deterministic():
     assert a.values == b.values
     assert all(v > 0 for v in a.values)
     assert not any(a.clipped)
+
+
+ROT = ((0.8, -0.6), (0.6, 0.8))
+IDENT = ((1.0, 0.0), (0.0, 1.0))
+NEG = ((-1.0, 0.0), (0.0, -1.0))
+DINI_1D = DiniKernel(1, 0.5, SphereFunction(1, pos=1.0, neg=-1.0), HolderModulus(1.0))
+DINI_2D = DiniKernel(2, 0.4, SphereFunction(2, cos_coeffs=(1.0,), sin_coeffs=(0.5, 0.25)),
+                     HolderModulus(1.0))
+
+
+def _cell_by_cell_subdivision(kernel, x, lo, hi, sing, depth=0):
+    """Reference: one cell at a time, the kernel at one point at a time."""
+    if depth >= SUBDIVISION_LEVELS:
+        return 0.0
+    dim = lo.size
+    mid = 0.5 * (lo + hi)
+    total = 0.0
+    for mask in range(1 << dim):
+        clo = np.array([mid[d] if (mask >> d) & 1 else lo[d] for d in range(dim)])
+        chi = np.array([hi[d] if (mask >> d) & 1 else mid[d] for d in range(dim)])
+        inside = [p for p in sing if np.all((p >= clo - 1e-15) & (p <= chi + 1e-15))]
+        if inside:
+            total += _cell_by_cell_subdivision(kernel, x, clo, chi, inside, depth + 1)
+        else:
+            center = 0.5 * (clo + chi)
+            total += float(kernel.value_at(x, center[None, :])[0]) * float(np.prod(chi - clo))
+    return total
+
+
+@pytest.mark.parametrize("kernel, grid", [
+    (RieszKernel(2, 0.5), Grid(2, 16)),
+    (DINI_2D, Grid(2, 16, 0.7, (0.1, -0.2))),
+    (HomogeneousKernel(2, 0.5, (IDENT, NEG), (0.5, 0.5)), Grid(2, 16, 1.0, (-0.5, -0.5))),
+    (HomogeneousKernel(2, 0.5, (IDENT, ROT), (0.4, 0.6)), Grid(2, 8, 0.7, (-0.3, -0.4))),
+    # row (0, 0)'s second point 2x is the corner its cell shares with cell (1, 1),
+    # which owns it: the refinement of cell (0, 0) must not see it
+    (HomogeneousKernel(2, 0.5, (IDENT, ((0.5, 0.0), (0.0, 0.5))), (0.5, 0.5)), Grid(2, 8)),
+    # a cell centre at h/10: both singular points x and -x/2 fall in its cell
+    (HomogeneousKernel(1, 0.5, (1.0, -2.0), (0.25, 0.25)), Grid(1, 16, 1.0, (-0.5 - 1 / 32 + 1 / 160,))),
+])
+def test_singular_entries_match_cell_by_cell_subdivision(kernel, grid):
+    K = kernel_matrix(kernel, grid)
+    centers = grid.cell_centers()
+    shared = 0
+    for i, x in enumerate(centers):
+        cells = {}
+        for p in kernel.singular_points(x):
+            idx = grid.cell_of_point(p)
+            if idx is not None:
+                cells.setdefault(idx, []).append(p)
+        for idx, pts in cells.items():
+            if grid.dim == 1 and len(pts) == 1:
+                continue  # closed-form cell integral
+            shared += len(pts) > 1
+            lo = np.array([grid.origin[d] + idx[d] * grid.h for d in range(grid.dim)])
+            ref = _cell_by_cell_subdivision(kernel, x, lo, lo + grid.h, pts) / grid.h**grid.dim
+            assert K[i, np.ravel_multi_index(idx, grid.shape)] == ref
+    if grid.dim == 1:
+        assert shared > 0
+
+
+@pytest.mark.parametrize("kernel", [
+    RieszKernel(1, 0.3), RieszKernel(2, 0.5), DINI_1D, DINI_2D,
+    HomogeneousKernel(1, 0.5, (1.0, -2.0), (0.25, 0.25)),
+    HomogeneousKernel(2, 0.5, (IDENT, ROT), (0.4, 0.6)),
+])
+def test_value_at_broadcasts_points_against_rows(kernel):
+    rng = np.random.default_rng(6)
+    X = rng.uniform(-1, 1, (7, kernel.dim))
+    Y = rng.uniform(-1, 1, (11, kernel.dim))
+    block = kernel.value_at(X[:, None], Y)
+    assert block.shape == (7, 11)
+    np.testing.assert_array_equal(block, np.stack([kernel.value_at(x, Y) for x in X]))
+    # paired one-row evaluations, as the singular-cell subdivision makes them
+    paired = kernel.value_at(X[:, None], Y[:7, None])[:, 0]
+    np.testing.assert_array_equal(paired, [kernel.value_at(x, y[None])[0] for x, y in zip(X, Y)])
