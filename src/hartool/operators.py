@@ -484,13 +484,17 @@ def hormander_lambda(kernel: KernelSpec, Q: Cube, M: int, A: YoungFunction,
 
     The sup runs over cell-center pairs (all pairs when there are at most
     10^4, a seeded random sample otherwise); normalizing measures are
-    unclipped, integrals run over clipped regions.  Empty clipped annuli
-    yield lambda_m = 0 with a clipped flag."""
+    unclipped, integrals run over clipped regions.  The kernel values are
+    the rows of `kernel_matrix`, so a cell holding a singular point carries
+    the refined cell value T is applied with.  That is the whole n x n
+    matrix of the grid (cached, so free after `apply_kernel`, but 128 MiB
+    for a direct call on a 64 x 64 grid).  Empty clipped annuli yield
+    lambda_m = 0 with a clipped flag."""
     grid = Q.grid
     values, clipped = [], []
-    qslices = Q.slices
-    qcenters = grid.cell_centers().reshape(grid.shape + (grid.dim,))[qslices].reshape(-1, grid.dim)
-    nq = qcenters.shape[0]
+    qcells = np.arange(grid.ncells).reshape(grid.shape)[Q.slices].ravel()
+    qrows = kernel_matrix(kernel, grid)[qcells]
+    nq = qrows.shape[0]
     if nq * nq <= HORMANDER_MAX_PAIRS:
         pair_idx = np.stack(np.divmod(np.arange(nq * nq), nq), axis=1)
     else:
@@ -508,8 +512,7 @@ def hormander_lambda(kernel: KernelSpec, Q: Cube, M: int, A: YoungFunction,
             values.append(0.0)
             clipped.append(True)
             continue
-        ann_centers = grid.cell_centers()[mask.ravel()]
-        rows = kernel.value_at(qcenters[:, None], ann_centers)
+        rows = qrows[:, mask.ravel()]
         U = unclipped_dilate_measure(Q, m + 1)
         scale = ncols / outer.ncells  # rows vanish on the rest of the clipped dilate
         best = 0.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hartool import (BorderlineLogModulus, ConjugateGauge, Cube, CubeFamily,
                      ScaledPowerGauge, TabulatedWeight, bump_norm, conjugate,
                      dini_integral, evaluate, inverse, luxemburg_mean_norm,
                      luxemburg_raw_norm, modulus_from_json, young_from_json)
-from hartool.gauges import batched_mean_norms
+from hartool.gauges import _legendre_table, batched_mean_norms
+from hartool.harness.oracles import ternary_conjugate
 
 ALL_GAUGES = [
     PowerGauge(2.0),
@@ -70,21 +72,73 @@ def test_conjugate_examples():
 def test_youngs_inequality_on_log_grid(gauge):
     ts = np.logspace(-3, 3, 100)
     ss = np.logspace(-3, 3, 100)
-    conj_vals = gauge.conjugate_values(ss)
     a_vals = np.asarray(gauge.value(ts), dtype=float)
     prod = ss[:, None] * ts[None, :]
-    bound = conj_vals[:, None] + a_vals[None, :]
-    scale = np.maximum(1.0, np.abs(bound))
-    finite = np.isfinite(bound)
-    assert np.all(prod[finite] <= bound[finite] + 1e-9 * scale[finite])
+    reference = np.array([ternary_conjugate(gauge, s) for s in ss])
+    # the reference, then the closed form (powers) or the Legendre table (the
+    # rest) that the package evaluates.  The table's worst error, 9e-4 of A*
+    # just above exp_power's kink at s = 1, is off this grid; on it no pair
+    # was measured with s t > A*(s) + A(t) for the table either
+    for conj_vals in (reference, ConjugateGauge(gauge).value(ss)):
+        bound = conj_vals[:, None] + a_vals[None, :]
+        scale = np.maximum(1.0, np.abs(bound))
+        finite = np.isfinite(bound)
+        assert np.all(prod[finite] <= bound[finite] + 1e-9 * scale[finite])
 
 
 def test_conjugate_table_matches_ternary():
-    conj = ConjugateGauge(PowerGauge(2.5))
-    s = np.logspace(-3, 3, 50)
-    exact = conj.base.conjugate_values(s)
-    table = conj.value(np.tile(s, (400, 1)))[0]  # 2D input routes via the table
-    assert np.allclose(table, exact, rtol=1e-5)
+    # the power base takes the closed form, the power-log base the table
+    for base in (PowerGauge(2.5), PowerLogGauge(2.0, 1.0)):
+        conj = ConjugateGauge(base)
+        s = np.logspace(-3, 3, 50)
+        exact = np.array([ternary_conjugate(conj.base, x) for x in s])
+        table = conj.value(np.tile(s, (400, 1)))[0]
+        assert np.allclose(table, exact, rtol=1e-5)
+
+
+@pytest.mark.parametrize("base", [PowerGauge(2.0), ScaledPowerGauge(3.0, 0.25), LinearGauge(1.0),
+                                  LinearGauge(2.0), PowerLogGauge(2.0, 1.0), ExpPowerGauge(1.0)],
+                         ids=lambda g: g.family + str(g.to_json()))
+def test_conjugate_value_does_not_depend_on_input_shape(base):
+    conj = ConjugateGauge(base)
+    for s in (0.0, 0.3, 1.0, 1.035, 3.0, 250.0):
+        scalar = conj.value(s)
+        assert np.array_equal(conj.value(np.array([s])), [scalar])
+        assert np.array_equal(conj.value(np.full((3, 4), s)), np.full((3, 4), scalar))
+        assert np.array_equal(conjugate(base, s), scalar)
+
+
+@pytest.mark.parametrize("base", [PowerGauge(2.0), PowerGauge(1.5), ScaledPowerGauge(3.0, 0.25),
+                                  ScaledPowerGauge(2.5, 7.0), LinearGauge(2.0), LinearGauge(1.0),
+                                  PowerLogGauge(2.0, 1.0), ExpPowerGauge(1.0)],
+                         ids=lambda g: g.family + str(g.to_json()))
+def test_conjugate_power_form_matches_ternary(base):
+    power = ConjugateGauge(base).power_form()
+    if base.power_form() is None or base.power_form()[0] == 1.0:
+        assert power is None  # the indicator or the table
+        return
+    q, b = power
+    p = base.power_form()[0]
+    assert q == pytest.approx(p / (p - 1.0), rel=1e-15)
+    for s in np.logspace(-3, 3, 25):
+        assert b * s**q == pytest.approx(ternary_conjugate(base, s), rel=1e-10)
+
+
+def test_table_conjugate_is_inf_where_the_maximizer_leaves_the_grid():
+    # the maximizer of s t - t log(e + t) is about e^(s - 1), past 1e60 for s > ~139
+    conj = ConjugateGauge(PowerLogGauge(1.0, 1.0))
+    assert conj.value(100.0) == pytest.approx(ternary_conjugate(conj.base, 100.0), rel=1e-5)
+    assert conj.value(150.0) == math.inf
+    assert ConjugateGauge(PowerLogGauge(2.0, 1.0)).value(2e15) == math.inf
+
+
+def test_legendre_table_of_an_overflowing_base_builds_without_warnings():
+    # exp(t^a) - 1 overflows long before t = 1e60, the end of the table's t grid
+    for base in (ExpPowerGauge(1.0), ExpPowerGauge(2.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_s, log_v = _legendre_table.__wrapped__(base)
+        assert np.all(np.isfinite(log_s)) and not np.any(np.isnan(log_v))
 
 
 def test_luxemburg_examples():

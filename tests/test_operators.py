@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hartool import (Cube, DiniKernel, Grid, HolderModulus, HomogeneousKernel,
-                     LinearGauge, RieszKernel, SampledFunction, SphereFunction,
+                     LinearGauge, PowerGauge, RieszKernel, SampledFunction, SphereFunction,
                      apply_kernel, hormander_lambda, kernel_from_json,
                      kernel_smoothness_ratio, omega_lambda)
 from hartool.operators import SUBDIVISION_LEVELS, LambdaSequence, kernel_matrix
@@ -213,6 +214,17 @@ def test_hormander_lambda_sampled_pairs_deterministic():
     assert a.values == b.values
     assert all(v > 0 for v in a.values)
     assert not any(a.clipped)
+
+
+def test_hormander_lambda_singular_preimage_on_annulus_centre():
+    # the rotation maps the preimage of some u in Q onto an annulus cell
+    # centre; the matrix row carries that cell's refined value, not k = inf
+    k = HomogeneousKernel(2, 0.5, (IDENT, ROT), (0.5, 0.5))
+    q = Cube(Grid(2, 32), (12, 12), 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = hormander_lambda(k, q, 3, PowerGauge(2.0))
+    assert math.isfinite(lam.values[1]) and lam.values[1] > 0
 
 
 ROT = ((0.8, -0.6), (0.6, 0.8))
