@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -367,17 +369,65 @@ def measure(region: Cube | Box) -> float:
     return region.measure
 
 
+HALVING_PLAN_CACHE = 256  # shapes whose halving plan stays cached (~24 bytes per cell)
+
+
+@lru_cache(maxsize=HALVING_PLAN_CACHE)
+def _halving_plan(shape: tuple[int, ...]) -> tuple[int, int, tuple]:
+    """The recursive-halving tree of an array shape, as (nodes, root, levels).
+
+    Each node is split along its longest axis (the first on ties) into its
+    first n // 2 cells and the rest, down to single cells.  Leaves are the
+    C-order flat indices 0..size-1 and inner nodes get ids from size up.
+    The levels run deepest first; each is (parents, lo, hi) with
+    value[parents] = value[lo] + value[hi], all children of a level being
+    computed by the levels before it."""
+    size = math.prod(shape)
+    if size <= 1:
+        return size, 0, ()
+    levels = []
+    nodes = size + 1
+    frontier = {shape: (np.arange(size).reshape((1,) + shape), np.array([size]))}
+    while frontier:
+        parents, children, nxt = [], ([], []), {}
+        for s, (leaves, ids) in frontier.items():
+            axis = s.index(max(s))
+            k = s[axis] // 2
+            parents.append(ids)
+            for side, part in zip(children, (slice(0, k), slice(k, s[axis]))):
+                block = leaves[(slice(None),) * (1 + axis) + (part,)]
+                if block[0].size == 1:
+                    side.append(block.reshape(-1))
+                    continue
+                child_ids = np.arange(nodes, nodes + len(ids))
+                nodes += len(ids)
+                side.append(child_ids)
+                old = nxt.get(block.shape[1:])
+                nxt[block.shape[1:]] = (block, child_ids) if old is None else (
+                    np.concatenate([old[0], block]), np.concatenate([old[1], child_ids]))
+        level = tuple(np.concatenate(ids) for ids in (parents, *children))
+        for arr in level:
+            arr.flags.writeable = False  # cached plans are shared by every caller
+        levels.append(level)
+        frontier = nxt
+    return nodes, size, tuple(levels[::-1])
+
+
 def _halving_sum(a: np.ndarray) -> float:
-    # Recursive halving keeps dyadic parent == sum of children exact in floats.
+    """Sum by recursive halving, evaluated one tree level per array add.
+
+    The tree (see `_halving_plan`) keeps a dyadic parent equal to the sum
+    of its children exactly in floats.  Every node is one IEEE addition of
+    its two children, so the result equals the recursive halving sum bit
+    for bit."""
     if a.size == 0:
         return 0.0
-    if a.size == 1:
-        return float(a.reshape(()))
-    axis = int(np.argmax(a.shape))
-    k = a.shape[axis] // 2
-    lo = a.take(indices=range(0, k), axis=axis)
-    hi = a.take(indices=range(k, a.shape[axis]), axis=axis)
-    return _halving_sum(lo) + _halving_sum(hi)
+    nodes, root, levels = _halving_plan(a.shape)
+    vals = np.empty(nodes)
+    vals[:a.size].reshape(a.shape)[...] = a
+    for parents, lo, hi in levels:
+        vals[parents] = vals[lo] + vals[hi]
+    return float(vals[root])
 
 
 def integrate(f: SampledFunction, region: Cube | Box) -> float:

@@ -18,11 +18,17 @@ from ..gauges import (LinearGauge, PowerGauge, YoungFunction, modulus_from_json,
 from ..geometry import CubeFamily, Grid
 from ..operators import KernelSpec, kernel_from_json
 
-__all__ = ["ConfigError", "ExperimentConfig", "INEQUALITY_CATALOG", "default_config"]
+__all__ = ["ConfigError", "DENSE_KERNEL_BUDGET_BYTES", "ExperimentConfig", "INEQUALITY_CATALOG",
+           "default_config"]
 
 
 class ConfigError(ValueError):
     """A config violates a stated hypothesis; the message names it."""
+
+
+# Largest dense kernel matrix, (N^dim)^2 float64 entries, a config may ask
+# for: 2D N=64 needs 128 MiB and passes, 2D N=128 needs 2 GiB and does not.
+DENSE_KERNEL_BUDGET_BYTES = 512 * 2**20
 
 
 INEQUALITY_CATALOG: dict[str, dict] = {
@@ -254,6 +260,15 @@ class ExperimentConfig:
             raise ConfigError("hypothesis violated: r must be >= 1")
         needs_kernel_gamma = self.inequality_id in (
             "eq12", "thm21", "thm22", "thm23", "thm31", "eq33", "lem41", "thm42", "eq19")
+        builds_kernel = needs_kernel_gamma or (
+            self.inequality_id == "thm53" and "riesz" in self.operators)
+        for n in self.grid_sizes if builds_kernel else ():
+            nbytes = (n**self.dim) ** 2 * 8
+            if nbytes > DENSE_KERNEL_BUDGET_BYTES:
+                raise ConfigError(
+                    f"resource limit: the dense kernel matrix of the {self.dim}D grid N={n} "
+                    f"needs {nbytes} bytes ({nbytes / 2**20:.0f} MiB), over the "
+                    f"DENSE_KERNEL_BUDGET_BYTES budget of {DENSE_KERNEL_BUDGET_BYTES} bytes")
         if needs_kernel_gamma and not 0 < self.gamma < 1:
             raise ConfigError("hypothesis violated: gamma must lie in (0, 1)")
         if not needs_kernel_gamma and not 0 <= self.gamma < 1:

@@ -453,15 +453,16 @@ def _grid_prop51(cfg, n):
     col_i, col_ii, col_scaled = RatioCollector(), RatioCollector(), RatioCollector()
     flagged = 0
     for i, f in enumerate(ctx.functions):
+        mf = fractional_maximal(f, cfg.gamma, LinearGauge(1.0), ctx.family)
         for Q in cubes:
-            rec = prop51_gap(f, Phi, Psi, cfg.gamma, Q, cn_dn, ctx.family)
+            rec = prop51_gap(f, Phi, Psi, cfg.gamma, Q, cn_dn, mf)
             if rec.t_range_empty:
                 flagged += 1
                 continue
             tag = {"function": i, "cube": Q.to_json(), "name": f.name}
             col_i.add_scalar(rec.lhs, rec.rhs_i, dict(tag, variant="i"))
             col_ii.add_scalar(rec.lhs, rec.rhs_ii, dict(tag, variant="ii"))
-            scaled = prop51_gap(f, Phi, Psi, cfg.gamma, Q, 1.5 * cn_dn, ctx.family)
+            scaled = prop51_gap(f, Phi, Psi, cfg.gamma, Q, 1.5 * cn_dn, mf)
             if not scaled.t_range_empty:
                 col_scaled.add_scalar(scaled.lhs, scaled.rhs_ii, dict(tag, variant="ii-scaled"))
     res_i = col_i.finalize()

@@ -20,7 +20,7 @@ from ..gauges import (BorderlineLogModulus, ExpPowerGauge, HolderModulus, LogMod
                       luxemburg_raw_norm)
 from ..geometry import Cube, CubeFamily, Grid, SampledFunction, enumerate_cubes
 from ..maximal import local_sharp_maximal, sharp_median, _window_count
-from ..spaces import morrey_norm
+from ..spaces import campanato_seminorm, morrey_norm
 from ..weights import subset_ratio_exact
 
 __all__ = ["OracleCase", "run_oracle", "ORACLE_NAMES", "brute_force_sharp",
@@ -249,6 +249,29 @@ def _oracle_morrey(seed: int) -> list[OracleCase]:
                        f"max relative error {worst:.3e} over 5 functions")]
 
 
+def _oracle_campanato(seed: int) -> list[OracleCase]:
+    """The q=2 Campanato seminorm against a per-cube variance over every
+    enumerated cube: with Phi(t) = t^2, Phi^{-1}(1/|Q|) inf_c ||f - c||_{Phi,Q}
+    is the standard deviation of f on Q."""
+    rng = np.random.default_rng(seed)
+    phi = PowerLawWeight(-0.15)
+    cases = []
+    for dim, n in ((1, 32), (2, 8)):
+        grid = Grid(dim, n)
+        for kind in ("all", "dyadic"):
+            family = CubeFamily(grid, kind)
+            worst = 0.0
+            for _ in range(3):
+                f = SampledFunction(grid, rng.uniform(-2, 2, size=grid.shape))
+                got = campanato_seminorm(f, PowerGauge(2.0), phi, family)
+                ref = max(float(np.std(f.values[Q.slices]) / phi.value(None, Q.side_length))
+                          for Q in enumerate_cubes(family))
+                worst = max(worst, _rel_err(got, ref))
+            cases.append(OracleCase(f"campanato/variance-{dim}d-{kind}", worst <= 1e-12,
+                                    f"max relative error {worst:.3e} over 3 functions"))
+    return cases
+
+
 def _oracle_cubes(seed: int) -> list[OracleCase]:
     grid = Grid(1, 4)
     all4 = enumerate_cubes(CubeFamily(grid, "all"))
@@ -267,6 +290,7 @@ ORACLE_NAMES = {
     "conjugate": _oracle_conjugate,
     "dini": _oracle_dini,
     "morrey": _oracle_morrey,
+    "campanato": _oracle_campanato,
     "cubes": _oracle_cubes,
 }
 

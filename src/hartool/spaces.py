@@ -6,12 +6,13 @@ Morrey norm is the sup over cubes Q = Q(x, l) (center x, side l) of
     (1 / phi(x, l)) Phi^{-1}(1/|Q|) ||f||_{Phi, Q}
 
 with the raw (integral-normalized) Luxemburg norm.  The Campanato
-seminorm replaces ||f||_{Phi, Q} by inf_c ||f - c||_{Phi, Q}; the map
-c -> norm is convex, so the infimum is found by ternary search with a
-brute-force scan as a test oracle.  The module also provides the
-localization gap record behind the Morrey-boundedness of the fractional
-maximal operator, and the two weight-compatibility checks used to
-pre-qualify (phi, psi) pairs.
+seminorm replaces ||f||_{Phi, Q} by inf_c ||f - c||_{Phi, Q}.  For a
+quadratic gauge a t^2 the infimum is attained at the window mean; for
+every other gauge the map c -> norm is convex and the infimum is found by
+ternary search, with a brute-force scan as a test oracle.  The module
+also provides the localization gap record behind the Morrey-boundedness
+of the fractional maximal operator, and the two weight-compatibility
+checks used to pre-qualify (phi, psi) pairs.
 
 All sups over the auxiliary scale t are truncated at twice the domain
 side; the truncation radius is part of the harness report metadata.
@@ -67,25 +68,32 @@ def campanato_seminorm(f: SampledFunction, Phi: YoungFunction, phi: MorreyWeight
                        family: CubeFamily) -> float:
     """Morrey-type sup with the per-cube best constant removed.
 
-    The per-cube map c -> ||f - c||_{Phi,Q} is convex and is minimized by
-    CAMPANATO_TERNARY_ITERS steps of ternary search on [min_Q f, max_Q f];
-    constants are annihilated and the seminorm is shift invariant."""
+    For a gauge whose power form is a t^2, the norm of f - c on a cube is
+    monotone in sum_Q |f - c|^2, which the window mean minimizes exactly.
+    For every other gauge the per-cube map c -> ||f - c||_{Phi,Q} is convex
+    and is minimized by CAMPANATO_TERNARY_ITERS steps of ternary search on
+    [min_Q f, max_Q f].  Constants are annihilated and the seminorm is
+    shift invariant."""
     h = f.grid.h
+    power = Phi.power_form()
     best = 0.0
     for sweep in cube_sweep(family):
         rows = sweep.rows(f.values)
         l = sweep.m * h
         meas = l**f.grid.dim
         raw = lambda c: batched_mean_norms(rows - c[:, None], Phi, meas)
-        lo = rows.min(axis=1)
-        hi = rows.max(axis=1)
-        for _ in range(CAMPANATO_TERNARY_ITERS):
-            c1 = lo + (hi - lo) / 3.0
-            c2 = hi - (hi - lo) / 3.0
-            take = raw(c1) < raw(c2)
-            hi = np.where(take, c2, hi)
-            lo = np.where(take, lo, c1)
-        norms = raw(0.5 * (lo + hi))
+        if power is not None and power[0] == 2.0:
+            norms = raw(rows.mean(axis=1))
+        else:
+            lo = rows.min(axis=1)
+            hi = rows.max(axis=1)
+            for _ in range(CAMPANATO_TERNARY_ITERS):
+                c1 = lo + (hi - lo) / 3.0
+                c2 = hi - (hi - lo) / 3.0
+                take = raw(c1) < raw(c2)
+                hi = np.where(take, c2, hi)
+                lo = np.where(take, lo, c1)
+            norms = raw(0.5 * (lo + hi))
         factor = _phi_inverse_of_inverse_measure(Phi, meas) / float(phi.value(None, l))
         best = max(best, factor * float(norms.max(initial=0.0)))
     return best
@@ -124,17 +132,19 @@ def _power_exponents(Phi: YoungFunction, Psi: YoungFunction, gamma: float):
 
 def prop51_gap(f: SampledFunction, Phi: YoungFunction, Psi: YoungFunction,
                gamma: float, Q: Cube, cn_dn: float,
-               maximal_family: CubeFamily | None = None) -> Prop51Record:
+               mf: SampledFunction | None = None) -> Prop51Record:
     """Record ||M f||_{Psi,Q} against the two localized majorants.
 
-    The sup over scales t > cn_dn * l runs over concentric boxes centered at
-    Q's center with sides in whole cells, clipped to the grid, up to the
-    truncation radius; normalizing measures stay unclipped."""
+    mf is the fractional maximal function M f; a caller that checks many
+    cubes computes it once and passes it in.  When it is None it is
+    computed here over the family of all cubes.  The sup over scales
+    t > cn_dn * l runs over concentric boxes centered at Q's center with
+    sides in whole cells, clipped to the grid, up to the truncation radius;
+    normalizing measures stay unclipped."""
     _power_exponents(Phi, Psi, gamma)
     grid = f.grid
-    if maximal_family is None:
-        maximal_family = CubeFamily(grid, "all")
-    mf = fractional_maximal(f, gamma, LinearGauge(1.0), maximal_family)
+    if mf is None:
+        mf = fractional_maximal(f, gamma, LinearGauge(1.0), CubeFamily(grid, "all"))
     lhs = luxemburg_raw_norm(mf, Q, Psi)
     l = Q.side_length
     h = grid.h

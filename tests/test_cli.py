@@ -68,6 +68,17 @@ def test_run_rejects_condition_f_weight_pair(tmp_path, capsys):
     assert "config rejected" in err and "condition_f" in err
 
 
+def test_run_rejects_dense_kernel_over_budget(tmp_path, capsys):
+    # 2D N=128 asks for a (128^2)^2 float64 kernel matrix: 2 GiB
+    cfg_path = tmp_path / "big.json"
+    cfg_path.write_text(json.dumps({"inequality_id": "eq12", "dim": 2, "grid_sizes": [64, 128]}))
+    assert run_cli("run", "--config", str(cfg_path)) == 2
+    err = capsys.readouterr().err
+    assert "config rejected" in err and "N=128" in err and "2147483648 bytes" in err
+    default_config("eq12", dim=2, grid_sizes=(32, 64))  # 128 MiB fits
+    default_config("prop51", dim=2, grid_sizes=(64, 128))  # builds no kernel
+
+
 def test_threads_override(tmp_path):
     cfg = default_config("eq12", grid_sizes=(16,), suite={"kind": "mixed", "count": 2})
     cfg_path = tmp_path / "cfg.json"

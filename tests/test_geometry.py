@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hartool import (Cube, CubeFamily, Grid, SampledFunction, concentric_box,
                      dilate, enumerate_cubes, integrate, measure,
                      unclipped_dilate_measure)
+from hartool.geometry import _halving_sum
 
 
 def test_grid_validation():
@@ -97,6 +100,36 @@ def test_integrate_dyadic_additivity_exact():
                        [(4, 4), (4, 8), (8, 4), (8, 8)]):
             total += integrate(f, Cube(g, corner, 4))
         assert integrate(f, parent) == total  # exact, by halving summation
+
+
+def _recursive_halving_sum(a):
+    """Reference: split the longest axis (first on ties) at n // 2, recurse."""
+    if a.size == 0:
+        return 0.0
+    if a.size == 1:
+        return float(a.reshape(()))
+    axis = int(np.argmax(a.shape))
+    k = a.shape[axis] // 2
+    lo = a.take(indices=range(0, k), axis=axis)
+    hi = a.take(indices=range(k, a.shape[axis]), axis=axis)
+    return _recursive_halving_sum(lo) + _recursive_halving_sum(hi)
+
+
+@given(shape=st.lists(st.integers(0, 40), min_size=1, max_size=2).map(tuple),
+       steps=st.tuples(st.integers(1, 3), st.sampled_from([1, -1])),
+       seed=st.integers(0, 2**32 - 1))
+@example(shape=(1, 37), steps=(1, 1), seed=0)
+@example(shape=(37, 1), steps=(2, -1), seed=1)
+@example(shape=(33, 17), steps=(2, 1), seed=2)
+def test_planned_halving_sum_matches_recursion_bitwise(shape, steps, seed):
+    # values spread over many decades make every change of addition order show
+    rng = np.random.default_rng(seed)
+    stride, direction = steps
+    big = tuple(n * stride for n in shape)
+    base = rng.standard_normal(big) * 10.0 ** rng.integers(-12, 12, size=big)
+    view = base[tuple(slice(None, None, stride * direction) for _ in shape)]
+    assert view.shape == shape
+    assert _halving_sum(view) == _recursive_halving_sum(view)
 
 
 def test_dilate_clipped_measure_bound():

@@ -208,13 +208,24 @@ def test_thm53_per_operator_constants():
     assert all(math.isfinite(v) for v in per_op.values())
 
 
-def test_prop51_variant_constants_reported():
+def test_prop51_variant_constants_reported(monkeypatch):
+    from hartool import maximal, spaces
+    from hartool.harness import inequalities as ineq
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return maximal.fractional_maximal(*args, **kwargs)
+
+    monkeypatch.setattr(ineq, "fractional_maximal", counted)
+    monkeypatch.setattr(spaces, "fractional_maximal", counted)
     cfg = default_config("prop51", grid_sizes=(32,), suite={"kind": "mixed", "count": 3},
                          cube_samples=4)
     rep = run_inequality(cfg)
     extra = rep.grids[0].extra
     assert "c_emp_variant_i" in extra and extra["c_emp_variant_i"] > 0
     assert rep.grids[0].c_emp > 0
+    assert len(calls) == 3  # once per suite function, not per (cube, variant)
 
 
 def test_sanitize_handles_non_finite():

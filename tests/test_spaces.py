@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hartool import (Cube, CubeFamily, Grid, PowerGauge,
-                     PowerLawWeight, SampledFunction, campanato_seminorm,
+                     PowerLawWeight, SampledFunction, ScaledPowerGauge, campanato_seminorm,
                      compat_52, compat_53, luxemburg_raw_norm, morrey_norm,
                      prop51_gap)
 
@@ -98,6 +98,27 @@ def test_campanato_ternary_matches_bruteforce():
             luxemburg_raw_norm(SampledFunction(g, f.values - c), q, gauge) for c in cands)
         best = max(best, per_cube * gauge.inverse(1.0 / q.measure) / phi.value(None, q.side_length))
     assert got == pytest.approx(best, rel=1e-4)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 8)])
+@pytest.mark.parametrize("kind", ["all", "dyadic"])
+@pytest.mark.parametrize("gauge", [PowerGauge(2.0), ScaledPowerGauge(2.0, 3.0)])
+def test_campanato_quadratic_matches_per_cube_closed_form(dim, n, kind, gauge):
+    # A(t) = a t^2: the best constant is the cube mean, so each cube gives
+    # sqrt(a sum (w - mean)^2 h^dim) times the Morrey factor A^{-1}(1/|Q|) / phi(l)
+    rng = np.random.default_rng(35)
+    g = Grid(dim, n, 0.75)
+    fam = CubeFamily(g, kind)
+    phi = PowerLawWeight(-0.25)
+    a = gauge.power_form()[1]
+    f = SampledFunction(g, rng.uniform(-2, 2, g.shape) + 3.0)
+    best = 0.0
+    for q in fam.iter_cubes():
+        w = f.values[q.slices]
+        norm = math.sqrt(a * float(np.sum((w - w.mean()) ** 2)) * g.h**dim)
+        factor = math.sqrt(1.0 / (a * q.measure)) / float(phi.value(None, q.side_length))
+        best = max(best, factor * norm)
+    assert campanato_seminorm(f, gauge, phi, fam) == pytest.approx(best, rel=1e-12)
 
 
 def test_campanato_bounded_by_centered_morrey():
