@@ -9,8 +9,8 @@ from .gauges import (BorderlineLogModulus, ConjugateGauge, ExpPowerGauge,
                      evaluate, inverse, luxemburg_mean_norm, luxemburg_raw_norm,
                      modulus_from_json, morrey_weight_from_json, young_from_json)
 from .geometry import (Box, Cube, CubeFamily, Grid, SampledFunction,
-                       concentric_box, dilate, enumerate_cubes, integrate,
-                       measure, unclipped_dilate_measure)
+                       concentric_box, concentric_rank, dilate, enumerate_cubes,
+                       integrate, measure, unclipped_dilate_measure)
 from .maximal import (fractional_maximal, lemma41_rhs, local_sharp_maximal,
                       median, sharp_median, sharp_median_plugin,
                       sup_inf_over_cubes)

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -32,6 +30,7 @@ __all__ = [
     "dilate",
     "unclipped_dilate_measure",
     "concentric_box",
+    "concentric_rank",
 ]
 
 
@@ -184,33 +183,14 @@ class Box:
         return {"corner": list(self.corner), "shape": list(self.shape)}
 
 
-def _clip_halfcell_interval(lo2: int, hi2: int, n: int) -> tuple[int, int]:
-    """Cells j with center 2j+1 in the half-open half-cell interval [lo2, hi2)."""
-    j_min = max(0, lo2 // 2)  # ceil((lo2-1)/2) == floor(lo2/2) for integers
-    j_max = min(n - 1, (hi2 - 2) // 2)
-    return j_min, j_max
-
-
 def dilate(cube: Cube, m: int) -> Box:
-    """Concentric dilate 2^m Q, clipped to the grid.
+    """Concentric dilate 2^m Q, clipped to the grid (see `concentric_box`).
 
-    Computed on the half-cell integer lattice: cell j belongs to the dilate
-    iff its center lies in the half-open dilated interval per axis.  Keeps
-    measure(clipped) <= 2^(m dim) measure(Q) exact even for odd side counts.
-    """
+    Keeps measure(clipped) <= 2^(m dim) measure(Q) exact even for odd side
+    counts."""
     if m < 0:
         raise ValueError("dilation exponent must be >= 0")
-    n = cube.grid.cells_per_side
-    factor = 1 << m
-    corner, shape = [], []
-    for d in range(cube.grid.dim):
-        c2 = 2 * cube.corner[d] + cube.side_cells  # center, half-cell units
-        half2 = factor * cube.side_cells  # half of dilated side, half-cell units
-        lo2, hi2 = c2 - half2, c2 + half2
-        j_min, j_max = _clip_halfcell_interval(lo2, hi2, n)
-        corner.append(j_min)
-        shape.append(j_max - j_min + 1)
-    return Box(cube.grid, tuple(corner), tuple(shape))
+    return concentric_box(cube.grid, cube.center2, (1 << m) * cube.side_cells)
 
 
 def unclipped_dilate_measure(cube: Cube, m: int) -> float:
@@ -219,15 +199,27 @@ def unclipped_dilate_measure(cube: Cube, m: int) -> float:
 
 
 def concentric_box(grid: Grid, center2: Sequence[int], side_cells: int) -> Box:
-    """Box of given side (in cells) centered at a half-cell lattice point, clipped."""
+    """Box of given side (in cells) centered at a half-cell lattice point, clipped.
+
+    Computed on the half-cell integer lattice: a cell k belongs to the box
+    iff its center 2k + 1 lies in [c2 - side, c2 + side) on every axis."""
     n = grid.cells_per_side
-    corner, shape = [], []
-    for d in range(grid.dim):
-        lo2, hi2 = center2[d] - side_cells, center2[d] + side_cells
-        j_min, j_max = _clip_halfcell_interval(lo2, hi2, n)
-        corner.append(j_min)
-        shape.append(j_max - j_min + 1)
-    return Box(grid, tuple(corner), tuple(shape))
+    first = [max(0, (c2 - side_cells) // 2) for c2 in center2]
+    last = [min(n - 1, (c2 + side_cells - 2) // 2) for c2 in center2]
+    return Box(grid, tuple(first), tuple(b - a + 1 for a, b in zip(first, last)))
+
+
+def concentric_rank(grid: Grid, center2: Sequence[int]) -> np.ndarray:
+    """Per cell, the smallest side j whose `concentric_box(grid, center2, j)`
+    holds it (an int array of the grid's shape, every entry >= 1).
+
+    Boxes around one center are nested, so the box of side j is exactly the
+    cells of rank <= j.  On an axis, cell k has center 2k + 1 in half-cell
+    units, which lies in [c2 - j, c2 + j) iff j >= max(c2 - 2k - 1, 2k + 2 - c2);
+    a cell's rank is the max of that over the axes."""
+    k2 = 2 * np.arange(grid.cells_per_side)
+    axes = [np.maximum(c2 - k2 - 1, k2 + 2 - c2) for c2 in center2]
+    return axes[0] if grid.dim == 1 else np.maximum.outer(axes[0], axes[1])
 
 
 @dataclass(frozen=True)
@@ -369,65 +361,17 @@ def measure(region: Cube | Box) -> float:
     return region.measure
 
 
-HALVING_PLAN_CACHE = 256  # shapes whose halving plan stays cached (~24 bytes per cell)
-
-
-@lru_cache(maxsize=HALVING_PLAN_CACHE)
-def _halving_plan(shape: tuple[int, ...]) -> tuple[int, int, tuple]:
-    """The recursive-halving tree of an array shape, as (nodes, root, levels).
-
-    Each node is split along its longest axis (the first on ties) into its
-    first n // 2 cells and the rest, down to single cells.  Leaves are the
-    C-order flat indices 0..size-1 and inner nodes get ids from size up.
-    The levels run deepest first; each is (parents, lo, hi) with
-    value[parents] = value[lo] + value[hi], all children of a level being
-    computed by the levels before it."""
-    size = math.prod(shape)
-    if size <= 1:
-        return size, 0, ()
-    levels = []
-    nodes = size + 1
-    frontier = {shape: (np.arange(size).reshape((1,) + shape), np.array([size]))}
-    while frontier:
-        parents, children, nxt = [], ([], []), {}
-        for s, (leaves, ids) in frontier.items():
-            axis = s.index(max(s))
-            k = s[axis] // 2
-            parents.append(ids)
-            for side, part in zip(children, (slice(0, k), slice(k, s[axis]))):
-                block = leaves[(slice(None),) * (1 + axis) + (part,)]
-                if block[0].size == 1:
-                    side.append(block.reshape(-1))
-                    continue
-                child_ids = np.arange(nodes, nodes + len(ids))
-                nodes += len(ids)
-                side.append(child_ids)
-                old = nxt.get(block.shape[1:])
-                nxt[block.shape[1:]] = (block, child_ids) if old is None else (
-                    np.concatenate([old[0], block]), np.concatenate([old[1], child_ids]))
-        level = tuple(np.concatenate(ids) for ids in (parents, *children))
-        for arr in level:
-            arr.flags.writeable = False  # cached plans are shared by every caller
-        levels.append(level)
-        frontier = nxt
-    return nodes, size, tuple(levels[::-1])
-
-
 def _halving_sum(a: np.ndarray) -> float:
-    """Sum by recursive halving, evaluated one tree level per array add.
-
-    The tree (see `_halving_plan`) keeps a dyadic parent equal to the sum
-    of its children exactly in floats.  Every node is one IEEE addition of
-    its two children, so the result equals the recursive halving sum bit
-    for bit."""
+    # Recursive halving keeps dyadic parent == sum of children exact in floats.
     if a.size == 0:
         return 0.0
-    nodes, root, levels = _halving_plan(a.shape)
-    vals = np.empty(nodes)
-    vals[:a.size].reshape(a.shape)[...] = a
-    for parents, lo, hi in levels:
-        vals[parents] = vals[lo] + vals[hi]
-    return float(vals[root])
+    if a.size == 1:
+        return float(a.reshape(()))
+    axis = int(np.argmax(a.shape))
+    k = a.shape[axis] // 2
+    lo = a.take(indices=range(0, k), axis=axis)
+    hi = a.take(indices=range(k, a.shape[axis]), axis=axis)
+    return _halving_sum(lo) + _halving_sum(hi)
 
 
 def integrate(f: SampledFunction, region: Cube | Box) -> float:

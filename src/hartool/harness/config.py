@@ -314,13 +314,13 @@ class ExperimentConfig:
                                   "requires gamma > 0 (drop it from operators for gamma = 0)")
         if self.inequality_id == "eq19" and not self.q > 1:
             raise ConfigError("hypothesis violated: eq19 needs a gauge exponent q > 1")
-        if self.weight_pair.get("mode", "maximal") not in ("maximal", "same", "condition_f", "unit"):
-            raise ConfigError("hypothesis violated: weight_pair mode must be one of "
-                              "maximal, same, condition_f, unit")
-        if (self.inequality_id in ("thm31", "eq33", "thm42")
-                and self.weight_pair.get("mode") == "condition_f"):
+        mode = self.weight_pair.get("mode", "maximal")
+        if mode == "condition_f":
             raise ConfigError("weight_pair mode condition_f requires explicit weight pairs; "
                               "use mode maximal, same, or unit here")
+        if mode not in ("maximal", "same", "unit"):
+            raise ConfigError("hypothesis violated: weight_pair mode must be one of "
+                              "maximal, same, unit")
         # descriptor sanity: everything must construct
         self.resolved_kernel() if needs_kernel_gamma else None
         self.resolved_gauge("gauge_phi")

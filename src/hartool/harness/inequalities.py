@@ -25,7 +25,7 @@ from ..gauges import (ConjugateGauge, LinearGauge, PowerGauge, _classify_decay,
                       bump_norm, luxemburg_mean_norm)
 from ..geometry import Cube, CubeFamily, SampledFunction
 from ..maximal import (_window_count, fractional_maximal, lemma41_rhs,
-                       local_sharp_maximal, median, sharp_median,
+                       local_sharp_maximal, median, narrowest_windows, sharp_median,
                        sharp_median_plugin, sup_inf_over_cubes)
 from ..operators import apply_kernel, hormander_lambda, omega_lambda
 from ..spaces import campanato_seminorm, compat_52, compat_53, morrey_norm, prop51_gap
@@ -276,9 +276,7 @@ def _resolve_pair_weight(cfg, ctx, w: SampledFunction) -> SampledFunction:
         return w
     if mode == "unit":
         return SampledFunction.constant(ctx.grid, 1.0, "unit")
-    # validate() rejects this too; configs built without it still reach here
-    raise ConfigError("weight_pair mode condition_f requires explicit weight pairs; "
-                      "use mode maximal, same, or unit here")
+    raise ConfigError(f"unknown weight_pair mode {mode!r}")  # validate() rejects it first
 
 
 def _grid_thm31(cfg, n):
@@ -657,14 +655,9 @@ def witness_diagnostics(cfg: ExperimentConfig, n: int, witness: dict) -> dict | 
     best = None
     for Q in ctx.family.iter_cubes(containing=point):
         vals = np.sort(tf.values[Q.slices], axis=None)
-        kp = _window_count(cfg.s, vals.size)
-        if kp <= 1:
-            val, c_opt = 0.0, float(vals[0])
-        else:
-            widths = vals[kp - 1:] - vals[: vals.size - kp + 1]
-            i = int(np.argmin(widths))
-            val = 0.5 * float(widths[i])
-            c_opt = 0.5 * float(vals[i] + vals[i + kp - 1])
+        half, start = narrowest_windows(vals[None, :], cfg.s)
+        i, kp = int(start[0]), _window_count(cfg.s, vals.size)
+        val, c_opt = float(half[0]), 0.5 * float(vals[i] + vals[i + kp - 1])
         if best is None or val > best[0]:
             best = (val, Q, c_opt)
     out["argmax_cube"] = best[1].to_json()

@@ -14,17 +14,22 @@ from itertools import combinations
 
 import numpy as np
 
-from ..gauges import (BorderlineLogModulus, ExpPowerGauge, HolderModulus, LogModulus,
-                      PowerGauge, PowerLawWeight, PowerLogGauge, ScaledPowerGauge,
+from ..gauges import (BorderlineLogModulus, ExpPowerGauge, HolderModulus, LinearGauge,
+                      LogModulus, PowerGauge, PowerLawWeight, PowerLogGauge, ScaledPowerGauge,
                       YoungFunction, conjugate, dini_integral, luxemburg_mean_norm,
                       luxemburg_raw_norm)
-from ..geometry import Cube, CubeFamily, Grid, SampledFunction, enumerate_cubes
-from ..maximal import local_sharp_maximal, sharp_median, _window_count
-from ..spaces import campanato_seminorm, morrey_norm
+from ..geometry import (Cube, CubeFamily, Grid, SampledFunction, concentric_box, dilate,
+                        enumerate_cubes, integrate, unclipped_dilate_measure)
+from ..maximal import (_window_count, fractional_maximal, lemma41_rhs, local_sharp_maximal,
+                       sharp_median)
+from ..operators import LambdaSequence
+from ..spaces import (_SNAP, TRUNCATION_FACTOR, _phi_inverse_of_inverse_measure,
+                      campanato_seminorm, morrey_norm, prop51_gap)
 from ..weights import subset_ratio_exact
 
 __all__ = ["OracleCase", "run_oracle", "ORACLE_NAMES", "brute_force_sharp",
-           "exhaustive_subset_ratio", "ternary_conjugate"]
+           "exhaustive_subset_ratio", "ternary_conjugate", "per_box_prop51",
+           "per_box_lemma41"]
 
 CONJUGATE_RTOL = 1e-12
 
@@ -101,6 +106,44 @@ def ternary_conjugate(A: YoungFunction, s: float) -> float:
         if hi - lo <= CONJUGATE_RTOL * max(1.0, hi):
             break
     return max(0.0, g(0.5 * (lo + hi)))
+
+
+def per_box_prop51(f: SampledFunction, Phi: YoungFunction, Psi: YoungFunction,
+                   gamma: float, Q: Cube, cn_dn: float,
+                   mf: SampledFunction) -> tuple[float, float, float]:
+    """`prop51_gap`'s (lhs, rhs_i, rhs_ii), one box, one integral and one
+    Luxemburg solve per concentric side."""
+    grid = f.grid
+    h = grid.h
+    t_cap = int(round(TRUNCATION_FACTOR * grid.side_length / h))
+    j_lo_excl = int(math.floor(cn_dn * Q.side_cells + _SNAP)) + 1
+    j_lo_incl = int(math.ceil(cn_dn * Q.side_cells - _SNAP))
+    psi_inv = lambda meas: _phi_inverse_of_inverse_measure(Psi, meas)
+    absf = abs(f)
+    sup_i = sup_ii = 0.0
+    for j in range(min(j_lo_incl, j_lo_excl), t_cap + 1):
+        box = concentric_box(grid, Q.center2, j)
+        if box.is_empty:
+            continue
+        unclipped = (j * h) ** grid.dim
+        if j >= j_lo_excl:
+            sup_i = max(sup_i, integrate(absf, box) / unclipped ** (1.0 - gamma))
+        if j >= j_lo_incl:
+            sup_ii = max(sup_ii, psi_inv(unclipped) * luxemburg_raw_norm(f, box, Phi))
+    head = luxemburg_raw_norm(f, dilate(Q, 1), Phi)
+    return (luxemburg_raw_norm(mf, Q, Psi), head + sup_i / psi_inv(Q.measure),
+            sup_ii / psi_inv(Q.measure))
+
+
+def per_box_lemma41(f: SampledFunction, Q: Cube, lam: LambdaSequence,
+                    gamma: float, r: float) -> float:
+    """`lemma41_rhs` with one clipped dilate and one integral per term."""
+    absr = SampledFunction(f.grid, np.abs(f.values) ** r)
+    total = 0.0
+    for m, lam_m in enumerate(lam.values, start=1):
+        U = unclipped_dilate_measure(Q, m)
+        total += lam_m * U**gamma * (integrate(absr, dilate(Q, m)) / U) ** (1.0 / r)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +315,38 @@ def _oracle_campanato(seed: int) -> list[OracleCase]:
     return cases
 
 
+def _oracle_concentric(seed: int) -> list[OracleCase]:
+    """The nested-box sums of `prop51_gap` and `lemma41_rhs` against one
+    box per side, on random cubes, functions and scale thresholds."""
+    rng = np.random.default_rng(seed)
+    gamma = 0.25
+    Psi = PowerGauge(4.0)  # 1/4 = 1/2 - gamma
+    cases = []
+    for dim, n in ((1, 64), (2, 16)):
+        grid = Grid(dim, n)
+        worst_51 = worst_41 = 0.0
+        for Phi in (PowerGauge(2.0), ScaledPowerGauge(2.0, 3.0)):
+            f = SampledFunction(grid, rng.uniform(-2, 2, size=grid.shape))
+            mf = fractional_maximal(f, gamma, LinearGauge(1.0), CubeFamily(grid, "all"))
+            for _ in range(6):
+                side = int(rng.integers(1, n + 1))
+                Q = Cube(grid, tuple(int(c) for c in rng.integers(0, n - side + 1, size=dim)), side)
+                cn_dn = float(rng.uniform(0.0, 3.0))
+                rec = prop51_gap(f, Phi, Psi, gamma, Q, cn_dn, mf)
+                ref = per_box_prop51(f, Phi, Psi, gamma, Q, cn_dn, mf)
+                worst_51 = max(worst_51, *(_rel_err(a, b) for a, b in
+                                           zip((rec.lhs, rec.rhs_i, rec.rhs_ii), ref)))
+                lam = LambdaSequence(tuple(rng.choice([0.0, 0.5, 2.0], size=8)), "from_omega")
+                r = float(rng.choice([1.0, 1.5, 2.0]))
+                worst_41 = max(worst_41, _rel_err(lemma41_rhs(f, Q, lam, gamma, r),
+                                                  per_box_lemma41(f, Q, lam, gamma, r)))
+        for name, worst in (("prop51", worst_51), ("lemma41", worst_41)):
+            cases.append(OracleCase(f"concentric/{name}-{dim}d", worst <= 1e-12,
+                                    f"max relative error {worst:.3e} against one box per "
+                                    f"side over 12 cubes"))
+    return cases
+
+
 def _oracle_cubes(seed: int) -> list[OracleCase]:
     grid = Grid(1, 4)
     all4 = enumerate_cubes(CubeFamily(grid, "all"))
@@ -291,6 +366,7 @@ ORACLE_NAMES = {
     "dini": _oracle_dini,
     "morrey": _oracle_morrey,
     "campanato": _oracle_campanato,
+    "concentric": _oracle_concentric,
     "cubes": _oracle_cubes,
 }
 

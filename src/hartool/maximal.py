@@ -20,14 +20,14 @@ import numpy as np
 
 from ._sweeps import cube_sweep, norms_by_size
 from .gauges import YoungFunction
-from .geometry import Cube, CubeFamily, SampledFunction, dilate, integrate, unclipped_dilate_measure
+from .geometry import Cube, CubeFamily, SampledFunction, concentric_rank, unclipped_dilate_measure
 from .operators import LambdaSequence
 
 __all__ = [
     "median",
     "sharp_median",
     "sharp_median_plugin",
-    "sharp_of_sorted",
+    "narrowest_windows",
     "local_sharp_maximal",
     "fractional_maximal",
     "sup_inf_over_cubes",
@@ -57,14 +57,18 @@ def median(f: SampledFunction, t: float, Q: Cube) -> float:
     return float(vals[_median_index(t, vals.size)])
 
 
-def sharp_of_sorted(vals: np.ndarray, s: float) -> float:
-    """Sharp median from sorted values: half the narrowest spanning window."""
-    n = vals.size
+def narrowest_windows(rows: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of sorted values, half the width of the narrowest window
+    spanning the points a level-(1-s) sharp median needs, and the index
+    where that window starts (the first on ties).
+
+    Half the width is the sharp median; the window's midpoint is an
+    optimal center."""
+    n = rows.shape[1]
     kp = _window_count(s, n)
-    if kp <= 1:
-        return 0.0
-    widths = vals[kp - 1:] - vals[: n - kp + 1]
-    return 0.5 * float(widths.min())
+    widths = rows[:, kp - 1:] - rows[:, : n - kp + 1]
+    start = widths.argmin(axis=1)
+    return 0.5 * np.take_along_axis(widths, start[:, None], axis=1)[:, 0], start
 
 
 def sharp_median(f: SampledFunction, s: float, Q: Cube) -> float:
@@ -72,7 +76,7 @@ def sharp_median(f: SampledFunction, s: float, Q: Cube) -> float:
     if not 0 < s <= 0.5:
         raise ValueError("sharp-median level s must lie in (0, 1/2]")
     vals = np.sort(f.values[Q.slices], axis=None)
-    return sharp_of_sorted(vals, s)
+    return float(narrowest_windows(vals[None, :], s)[0][0])
 
 
 def sharp_median_plugin(f: SampledFunction, s: float, Q: Cube) -> float:
@@ -106,12 +110,7 @@ def local_sharp_maximal(f: SampledFunction, s: float, Q0: Cube,
     sub = f.values[Q0.slices]
     best = np.full(sub.shape, -np.inf)
     for sweep in cube_sweep(family, Q0):
-        wins = np.sort(sweep.rows(sub), axis=1)
-        kp = _window_count(s, wins.shape[1])
-        if kp <= 1:
-            stat = np.zeros(wins.shape[0])
-        else:
-            stat = 0.5 * (wins[:, kp - 1:] - wins[:, : wins.shape[1] - kp + 1]).min(axis=1)
+        stat, _ = narrowest_windows(np.sort(sweep.rows(sub), axis=1), s)
         best = np.maximum(best, sweep.to_points(stat.reshape(sweep.corners)))
     return _masked_points(f.grid, Q0, best, f"sharp[{f.name}]")
 
@@ -153,18 +152,17 @@ def lemma41_rhs(f: SampledFunction, Q: Cube, lam: LambdaSequence,
     """sum_m lambda_m |2^m Q|^gamma ( |2^m Q|^-1 int_{2^m Q : grid} |f|^r )^(1/r).
 
     Normalizing measures are unclipped, integrals run over the clipped
-    dilates."""
+    dilates.  The dilates are nested, so their integrals come from one pass
+    over the cells in order of `concentric_rank`."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    absr = SampledFunction(f.grid, np.abs(f.values) ** r)
+    rank = concentric_rank(f.grid, Q.center2).ravel()
+    box_sums = np.cumsum(np.bincount(rank, np.abs(f.values.ravel()) ** r))
     total = 0.0
     for m, lam_m in enumerate(lam.values, start=1):
         if lam_m == 0.0:
             continue
-        box = dilate(Q, m)
-        if box.is_empty:
-            continue
         U = unclipped_dilate_measure(Q, m)
-        I = integrate(absr, box)
+        I = box_sums[min((1 << m) * Q.side_cells, box_sums.size - 1)] * f.grid.h**f.grid.dim
         total += lam_m * U**gamma * (I / U) ** (1.0 / r)
     return total

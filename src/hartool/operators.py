@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauges import ModulusOmega, YoungFunction, batched_mean_norms, modulus_from_json
-from .geometry import Cube, Grid, SampledFunction, dilate, unclipped_dilate_measure
+from .geometry import Cube, Grid, SampledFunction, concentric_rank, unclipped_dilate_measure
 
 __all__ = [
     "SphereFunction",
@@ -501,20 +501,18 @@ def hormander_lambda(kernel: KernelSpec, Q: Cube, M: int, A: YoungFunction,
         rng = np.random.default_rng(seed)
         pair_idx = np.stack([rng.integers(0, nq, HORMANDER_MAX_PAIRS),
                              rng.integers(0, nq, HORMANDER_MAX_PAIRS)], axis=1)
+    rank = concentric_rank(grid, Q.center2).ravel()
     for m in range(1, M + 1):
-        outer = dilate(Q, m + 1)
-        inner = dilate(Q, m)
-        mask = np.zeros(grid.shape, dtype=bool)
-        mask[outer.slices] = True
-        mask[inner.slices] = False
-        ncols = int(mask.sum())
+        outer = rank <= (2 << m) * Q.side_cells  # the clipped 2^(m+1)Q
+        mask = outer & (rank > (1 << m) * Q.side_cells)
+        ncols = int(np.count_nonzero(mask))
         if ncols == 0:
             values.append(0.0)
             clipped.append(True)
             continue
-        rows = qrows[:, mask.ravel()]
+        rows = qrows[:, mask]
         U = unclipped_dilate_measure(Q, m + 1)
-        scale = ncols / outer.ncells  # rows vanish on the rest of the clipped dilate
+        scale = ncols / np.count_nonzero(outer)  # rows vanish on the rest of the clipped dilate
         best = 0.0
         for start in range(0, pair_idx.shape[0], 512):
             chunk = pair_idx[start:start + 512]

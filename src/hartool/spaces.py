@@ -28,7 +28,7 @@ import numpy as np
 from ._sweeps import cube_sweep, norms_by_size
 from .gauges import (LinearGauge, MorreyWeight, YoungFunction, batched_mean_norms,
                      luxemburg_raw_norm)
-from .geometry import Cube, CubeFamily, Grid, SampledFunction, concentric_box, dilate, integrate
+from .geometry import Cube, CubeFamily, Grid, SampledFunction, concentric_rank
 from .maximal import fractional_maximal
 
 __all__ = [
@@ -140,37 +140,34 @@ def prop51_gap(f: SampledFunction, Phi: YoungFunction, Psi: YoungFunction,
     computed here over the family of all cubes.  The sup over scales
     t > cn_dn * l runs over concentric boxes centered at Q's center with
     sides in whole cells, clipped to the grid, up to the truncation radius;
-    normalizing measures stay unclipped."""
+    normalizing measures stay unclipped.  The boxes are nested, so the sums
+    of |f| and |f|^p over every box come from one pass over the cells in
+    order of `concentric_rank`, and the power gauges' raw Luxemburg norms
+    from their closed form."""
     _power_exponents(Phi, Psi, gamma)
+    p, a = Phi.power_form()
     grid = f.grid
     if mf is None:
         mf = fractional_maximal(f, gamma, LinearGauge(1.0), CubeFamily(grid, "all"))
     lhs = luxemburg_raw_norm(mf, Q, Psi)
-    l = Q.side_length
     h = grid.h
+    cellm = h**grid.dim
     t_cap = int(round(TRUNCATION_FACTOR * grid.side_length / h))
     j_lo_excl = int(math.floor(cn_dn * Q.side_cells + _SNAP)) + 1  # t strictly above
     j_lo_incl = int(math.ceil(cn_dn * Q.side_cells - _SNAP))
     psi_inv_q = _phi_inverse_of_inverse_measure(Psi, Q.measure)
-    absf = abs(f)
-    two_q = dilate(Q, 1)
-    rhs_i_head = luxemburg_raw_norm(f, two_q, Phi)
-    sup_i = 0.0
-    sup_ii = 0.0
+    # entry j - 1 is the box of side j cells, j = 1..t_cap; none is empty
+    rank = concentric_rank(grid, Q.center2).ravel()
+    box_sums = lambda w: np.bincount(rank, w.ravel(), t_cap + 1)[1:t_cap + 1].cumsum()
+    absf = np.abs(f.values)
+    norm_f = (a * cellm * box_sums(absf**p)) ** (1.0 / p)  # raw Luxemburg norm on each box
+    j = np.arange(1, t_cap + 1)
+    unclipped = (j * h) ** grid.dim
+    sup_i = (cellm * box_sums(absf) / unclipped ** (1.0 - gamma))[j >= j_lo_excl]
+    sup_ii = (_phi_inverse_of_inverse_measure(Psi, unclipped) * norm_f)[j >= j_lo_incl]
     empty = j_lo_excl > t_cap and j_lo_incl > t_cap
-    for j in range(min(j_lo_incl, j_lo_excl), t_cap + 1):
-        box = concentric_box(grid, Q.center2, j)
-        if box.is_empty:
-            continue
-        t = j * h
-        unclipped = t**grid.dim
-        if j >= j_lo_excl:
-            sup_i = max(sup_i, integrate(absf, box) / unclipped ** (1.0 - gamma))
-        if j >= j_lo_incl:
-            psi_inv_t = _phi_inverse_of_inverse_measure(Psi, unclipped)
-            sup_ii = max(sup_ii, psi_inv_t * luxemburg_raw_norm(f, box, Phi))
-    rhs_i = rhs_i_head + sup_i / psi_inv_q
-    rhs_ii = sup_ii / psi_inv_q
+    rhs_i = norm_f[2 * Q.side_cells - 1] + sup_i.max(initial=0.0) / psi_inv_q
+    rhs_ii = sup_ii.max(initial=0.0) / psi_inv_q
     return Prop51Record(lhs, rhs_i, rhs_ii, empty, t_cap * h)
 
 

@@ -1,10 +1,12 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hartool import (Cube, CubeFamily, Grid, SampledFunction, concentric_box,
-                     dilate, enumerate_cubes, integrate, measure,
+                     concentric_rank, dilate, enumerate_cubes, integrate, measure,
                      unclipped_dilate_measure)
 from hartool.geometry import _halving_sum
 
@@ -164,6 +166,21 @@ def test_concentric_box_center_and_clip():
     assert box.corner == (2,) and box.shape == (4,)
     big = concentric_box(g, q.center2, 100)
     assert big.corner == (0,) and big.shape == (8,)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 16)])
+def test_concentric_rank_marks_every_concentric_box(dim, n):
+    # every half-cell center a cube can have, every side up to past the clip
+    g = Grid(dim, n)
+    for c2 in product(range(1, 2 * n), repeat=dim):
+        rank = concentric_rank(g, c2)
+        assert rank.shape == g.shape
+        for j in range(3 * n):
+            box = concentric_box(g, c2, j)
+            inside = np.zeros(g.shape, dtype=bool)
+            if not box.is_empty:
+                inside[box.slices] = True
+            assert np.array_equal(rank <= j, inside), (c2, j)
 
 
 def test_sampled_function_requires_finite():

@@ -6,8 +6,9 @@ import pytest
 
 from hartool import (Cube, DiniKernel, Grid, HolderModulus, HomogeneousKernel,
                      LinearGauge, PowerGauge, RieszKernel, SampledFunction, SphereFunction,
-                     apply_kernel, hormander_lambda, kernel_from_json,
-                     kernel_smoothness_ratio, omega_lambda)
+                     apply_kernel, dilate, hormander_lambda, kernel_from_json,
+                     kernel_smoothness_ratio, omega_lambda, unclipped_dilate_measure)
+from hartool.gauges import batched_mean_norms
 from hartool.operators import SUBDIVISION_LEVELS, LambdaSequence, kernel_matrix
 
 
@@ -214,6 +215,31 @@ def test_hormander_lambda_sampled_pairs_deterministic():
     assert a.values == b.values
     assert all(v > 0 for v in a.values)
     assert not any(a.clipped)
+
+
+@pytest.mark.parametrize("dim, n, corner, side", [(1, 32, (13,), 3), (1, 32, (0,), 2),
+                                                  (2, 16, (5, 6), 2), (2, 16, (11, 1), 3)])
+def test_hormander_lambda_matches_explicit_dilate_annuli(dim, n, corner, side):
+    # the annulus of each lambda_m rebuilt from the two clipped dilate boxes
+    g = Grid(dim, n)
+    q = Cube(g, corner, side)
+    kernel, gauge, M = RieszKernel(dim, 0.5), PowerGauge(2.0), 4
+    qrows = kernel_matrix(kernel, g)[np.arange(g.ncells).reshape(g.shape)[q.slices].ravel()]
+    expect = []
+    for m in range(1, M + 1):
+        outer, inner = dilate(q, m + 1), dilate(q, m)
+        mask = np.zeros(g.shape, dtype=bool)
+        mask[outer.slices] = True
+        mask[inner.slices] = False
+        if not mask.any():
+            expect.append(0.0)
+            continue
+        rows = qrows[:, mask.ravel()]
+        u, v = np.divmod(np.arange(len(rows) ** 2), len(rows))  # every pair
+        diffs = np.abs(rows[u] - rows[v])
+        norms = batched_mean_norms(diffs, gauge, mask.sum() / outer.ncells)
+        expect.append(unclipped_dilate_measure(q, m + 1) ** (1.0 - kernel.gamma) * norms.max())
+    assert hormander_lambda(kernel, q, M, gauge).values == tuple(expect)
 
 
 def test_hormander_lambda_singular_preimage_on_annulus_centre():
