@@ -2,14 +2,15 @@
 
 Every supremum over a cube family in the package runs through `cube_sweep`,
 and nothing outside this module branches on the family kind.  For each cube
-side m of the family, `cube_sweep` yields a `Sweep`: the lattice of corners
-of the size-m family cubes inside a base cube Q0 (the whole grid by
-default).  The "all" family takes every corner (start 0, stride 1); the
-dyadic family takes the corners on the global m-lattice (start
-(-corner0) % m, stride m).  A Sweep computes corner-indexed statistics on
-that lattice -- window sums, window rows, window mins -- and `to_points`
-turns them into point-indexed maxima over the cubes containing each point.
-`norms_by_size` adds one Luxemburg norm per cube.
+side m of the family, in descending order, `cube_sweep` yields a `Sweep`:
+the lattice of corners of the size-m family cubes inside a base cube Q0
+(the whole grid by default).  The "all" family takes every corner (start 0,
+stride 1); the dyadic family takes the corners on the global m-lattice
+(start (-corner0) % m, stride m).  A Sweep computes corner-indexed
+statistics on that lattice -- window sums, window rows, window mins -- and
+`containing_max` turns the statistics of all sizes into the point-indexed
+max over the family cubes containing each point.  `norms_by_size` adds one
+Luxemburg norm per cube.
 
 Windows are strided views of the value array; rows (one window per row) are
 materialized only where a solver needs them.  Overlapping windows (stride 1)
@@ -21,7 +22,7 @@ size-major order, so results are reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,7 +37,7 @@ __all__ = [
     "window_sums",
     "window_matrix",
     "window_min",
-    "corner_to_point_max",
+    "containing_max",
 ]
 
 
@@ -80,33 +81,6 @@ def window_min(values: np.ndarray, m: int, start: tuple[int, ...], stride: int) 
     return _window_view(values, m, start, stride).min(axis=tuple(range(dim, 2 * dim)))
 
 
-def _axis_corner_max(arr: np.ndarray, m: int, n: int, axis: int) -> np.ndarray:
-    """Per-point max over the m corners covering each point along one axis."""
-    arr = np.moveaxis(arr, axis, -1)
-    pad = np.full(arr.shape[:-1] + (m - 1,), -np.inf)
-    padded = np.concatenate([pad, arr, pad], axis=-1)
-    out = sliding_window_view(padded, m, axis=-1).max(axis=-1)
-    out = out[..., :n]
-    return np.moveaxis(out, -1, axis)
-
-
-def corner_to_point_max(corner_vals: np.ndarray, m: int, n: int,
-                        start: tuple[int, ...], stride: int) -> np.ndarray:
-    """Point-indexed max over the size-m lattice cubes containing each point.
-
-    corner_vals holds one value per lattice corner; corners off the lattice
-    count as -inf.  The result has length n per axis."""
-    dim = corner_vals.ndim
-    if stride != 1:
-        full = np.full((n - m + 1,) * dim, -np.inf)
-        full[_lattice(start, stride)] = corner_vals
-        corner_vals = full
-    out = corner_vals
-    for axis in range(dim):
-        out = _axis_corner_max(out, m, n, axis)
-    return out
-
-
 @dataclass(frozen=True)
 class Sweep:
     """The size-m family cubes inside an n0-cell base cube: their corners are
@@ -131,24 +105,55 @@ class Sweep:
     def mins(self, values: np.ndarray) -> np.ndarray:
         return window_min(values, self.m, self.start, self.stride)
 
-    def to_points(self, corner_vals: np.ndarray) -> np.ndarray:
-        return corner_to_point_max(corner_vals, self.m, self.n0, self.start, self.stride)
-
 
 def cube_sweep(family: CubeFamily, Q0: Cube | None = None) -> Iterator[Sweep]:
-    """One Sweep per family cube side that fits inside Q0 (default: the grid).
+    """One Sweep per family cube side that fits inside Q0 (default: the grid),
+    largest side first.
 
     Sizes with no family cube inside Q0 are skipped."""
     grid = family.grid
     corner0 = (0,) * grid.dim if Q0 is None else Q0.corner
     n0 = grid.cells_per_side if Q0 is None else Q0.side_cells
-    for m in family.sizes(cap=n0):
+    for m in reversed(family.sizes(cap=n0)):
         if family.kind == "all":
             sweep = Sweep(m, n0, (0,) * grid.dim, 1)
         else:  # dyadic: corners on the global m-lattice
             sweep = Sweep(m, n0, tuple((-c) % m for c in corner0), m)
         if min(sweep.corners) > 0:
             yield sweep
+
+
+def _grow(out: np.ndarray, d: int) -> np.ndarray:
+    """Max of out shifted by 0 and by d on every axis, -inf where a shift runs off."""
+    for axis in range(out.ndim):
+        n = out.shape[axis]
+        head = (slice(None),) * axis
+        grown = np.full(out.shape[:axis] + (n + d,) + out.shape[axis + 1:], -np.inf)
+        grown[head + (slice(0, n),)] = out
+        shifted = grown[head + (slice(d, None),)]
+        np.maximum(shifted, out, out=shifted)
+        out = grown
+    return out
+
+
+def containing_max(shape: tuple[int, ...],
+                   stats: Iterable[tuple[Sweep, np.ndarray]]) -> np.ndarray:
+    """Point-indexed max over the family cubes containing each point.
+
+    stats yields (sweep, corner values) in `cube_sweep`'s descending size
+    order.  The running max W at side m lives on the full corner grid of side
+    n0 - m + 1, -inf off the lattice.  Per axis, a cube of the previous side
+    m + d contains the m-cube at corner c exactly when its corner is c - d or
+    c (d = 1 for all cubes; d = m for dyadic ones, where just one of the two
+    is on the 2m-lattice), so W_m is the size-m values maxed with the
+    previous W shifted by 0 and by d.  Side 1 ends the chain at the points;
+    with no cubes every point reads -inf."""
+    out = np.full((0,) * len(shape), -np.inf)
+    for sweep, vals in stats:
+        out = _grow(out, sweep.n0 - sweep.m + 1 - out.shape[0])
+        corners = out[_lattice(sweep.start, sweep.stride)]
+        np.maximum(corners, vals, out=corners)
+    return _grow(out, shape[0] - out.shape[0])
 
 
 def norms_by_size(values: np.ndarray, A: YoungFunction, family: CubeFamily,

@@ -4,8 +4,8 @@ A Young function here is a parametric convex gauge A with A(0) = 0,
 nondecreasing and continuous, superlinear except for the quasi-Young
 linear case A(t) = t.  The module provides
 
-* closed-form evaluation per family, a numeric inverse (bracketed
-  bisection), and the conjugate sup_t (s t - A(t)) as a gauge of its own
+* closed-form evaluation per family, an inverse (a one-row Luxemburg
+  solve), and the conjugate sup_t (s t - A(t)) as a gauge of its own
   (`ConjugateGauge`: closed form for powers, a Legendre table otherwise),
 * both Luxemburg norms over a cube: the mean-normalized norm
   inf {lam : avg_Q A(|f|/lam) <= 1} and the raw norm with the plain
@@ -64,7 +64,6 @@ __all__ = [
     "morrey_weight_from_json",
 ]
 
-INVERSE_RTOL = 1e-13
 LUXEMBURG_RTOL = 1e-13
 
 # Divergence-heuristic thresholds (see module docstring).
@@ -96,29 +95,13 @@ class YoungFunction:
         return None
 
     def inverse(self, u: float) -> float:
-        """t with A(t) = u, by doubling bracket plus bisection."""
+        """t with A(t) = u: A(1/lam) <= u exactly when lam >= 1/t, so 1/t is
+        the one-row Luxemburg norm of [1] at scale 1/u (closed form for powers)."""
         if u < 0:
             raise ValueError("inverse requires u >= 0")
         if u == 0:
             return 0.0
-        lo, hi = 1.0, 1.0
-        for _ in range(2200):
-            if self.value(hi) >= u:
-                break
-            hi *= 2.0
-        for _ in range(2200):
-            if self.value(lo) <= u:
-                break
-            lo /= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.value(mid) < u:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= INVERSE_RTOL * hi:
-                break
-        return 0.5 * (lo + hi)
+        return 1.0 / float(batched_mean_norms(np.ones((1, 1)), self, scale=1.0 / u)[0])
 
     def to_json(self) -> dict:
         raise NotImplementedError

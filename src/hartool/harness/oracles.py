@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from ..gauges import (BorderlineLogModulus, ExpPowerGauge, HolderModulus, Linear
 from ..geometry import (Cube, CubeFamily, Grid, SampledFunction, concentric_box, dilate,
                         enumerate_cubes, integrate, unclipped_dilate_measure)
 from ..maximal import (_window_count, fractional_maximal, lemma41_rhs, local_sharp_maximal,
-                       sharp_median)
+                       sharp_median, sup_inf_over_cubes)
 from ..operators import LambdaSequence
 from ..spaces import (_SNAP, TRUNCATION_FACTOR, _phi_inverse_of_inverse_measure,
                       campanato_seminorm, morrey_norm, prop51_gap)
@@ -211,25 +211,46 @@ def _oracle_condition_f(seed: int) -> list[OracleCase]:
                        f"max relative error {worst:.3e} over 50 trials")]
 
 
-def _oracle_local_sharp(seed: int) -> list[OracleCase]:
-    rng = np.random.default_rng(seed)
-    n = 32
-    grid = Grid(1, n)
-    f = SampledFunction(grid, rng.integers(-2 * 2**20, 2 * 2**20, size=n) * 2.0**-20)
-    family = CubeFamily(grid, "all")
-    q0 = Cube(grid, (0,), n)
-    engine = local_sharp_maximal(f, 0.5, q0, family).values
-    ok = True
-    detail = f"exhaustive agreement at N={n}"
-    for x in range(n):
-        best = 0.0
-        for Q in family.iter_cubes(containing=(x,)):
-            best = max(best, brute_force_sharp(f.values[Q.slices], 0.5))
+def _containing_sup_case(name: str, engine: np.ndarray, family: CubeFamily, q0: Cube,
+                         stat) -> OracleCase:
+    """engine[x] == max of stat(Q) over the family cubes Q with x in Q inside
+    q0, exactly, at every cell x of q0; cubes come from `iter_cubes`."""
+    last = lambda Q: tuple(c + Q.side_cells - 1 for c in Q.corner)
+    per_cube: dict[Cube, float] = {}
+    for x in product(*(range(c, c + q0.side_cells) for c in q0.corner)):
+        best = -math.inf
+        for Q in family.iter_cubes(containing=x):
+            if q0.contains_cell(Q.corner) and q0.contains_cell(last(Q)):
+                if Q not in per_cube:
+                    per_cube[Q] = stat(Q)
+                best = max(best, per_cube[Q])
         if engine[x] != best:
-            ok = False
-            detail = f"mismatch at cell {x}: engine {engine[x]!r} vs brute {best!r}"
-            break
-    return [OracleCase("local-sharp/exhaustive-cubes", ok, detail)]
+            return OracleCase(name, False, f"mismatch at cell {x}: "
+                              f"engine {float(engine[x])!r} vs brute {best!r}")
+    return OracleCase(name, True, f"exhaustive agreement over {len(per_cube)} cubes")
+
+
+def _oracle_local_sharp(seed: int) -> list[OracleCase]:
+    """Both the all (shift 1) and dyadic (shift m) steps of the engine's
+    containment recursion, in 1D on the whole grid and in 2D on a base cube
+    off the dyadic lattice."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for dim, n, corner, side in ((1, 32, (0,), 32), (2, 8, (1, 2), 5)):
+        grid = Grid(dim, n)
+        f = SampledFunction(grid, rng.integers(-2 * 2**20, 2 * 2**20, size=grid.shape) * 2.0**-20)
+        q0 = Cube(grid, corner, side)
+        for kind in ("all", "dyadic"):
+            family = CubeFamily(grid, kind)
+            tag = f"{dim}d-{kind}-N{n}"
+            cases.append(_containing_sup_case(
+                f"local-sharp/{tag}", local_sharp_maximal(f, 0.5, q0, family).values, family, q0,
+                lambda Q: brute_force_sharp(f.values[Q.slices], 0.5)))
+            if dim == 2:
+                cases.append(_containing_sup_case(
+                    f"sup-inf/{tag}", sup_inf_over_cubes(f, family, q0).values, family, q0,
+                    lambda Q: float(f.values[Q.slices].min())))
+    return cases
 
 
 def _oracle_conjugate(seed: int) -> list[OracleCase]:

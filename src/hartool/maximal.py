@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from ._sweeps import cube_sweep, norms_by_size
+from ._sweeps import containing_max, cube_sweep, norms_by_size
 from .gauges import YoungFunction
 from .geometry import Cube, CubeFamily, SampledFunction, concentric_rank, unclipped_dilate_measure
 from .operators import LambdaSequence
@@ -108,10 +108,9 @@ def local_sharp_maximal(f: SampledFunction, s: float, Q0: Cube,
     if not 0 < s <= 0.5:
         raise ValueError("sharp-median level s must lie in (0, 1/2]")
     sub = f.values[Q0.slices]
-    best = np.full(sub.shape, -np.inf)
-    for sweep in cube_sweep(family, Q0):
-        stat, _ = narrowest_windows(np.sort(sweep.rows(sub), axis=1), s)
-        best = np.maximum(best, sweep.to_points(stat.reshape(sweep.corners)))
+    best = containing_max(sub.shape, (
+        (sweep, narrowest_windows(np.sort(sweep.rows(sub), axis=1), s)[0].reshape(sweep.corners))
+        for sweep in cube_sweep(family, Q0)))
     return _masked_points(f.grid, Q0, best, f"sharp[{f.name}]")
 
 
@@ -124,11 +123,11 @@ def fractional_maximal(f: SampledFunction, gamma: float, A: YoungFunction,
     if not 0 <= gamma < 1:
         raise ValueError("gamma must lie in [0, 1)")
     grid = f.grid
-    best = np.zeros(grid.shape)  # cube stats are nonnegative
-    for sweep, norms in norms_by_size(f.values, A, family):
-        meas = (sweep.m * grid.h) ** grid.dim
-        best = np.maximum(best, sweep.to_points(meas**gamma * norms))
-    return SampledFunction(grid, best, name=f"M[{f.name}]")
+    best = containing_max(grid.shape, (
+        (sweep, ((sweep.m * grid.h) ** grid.dim) ** gamma * norms)
+        for sweep, norms in norms_by_size(f.values, A, family)))
+    # cube stats are nonnegative; a point no cube covers reads 0
+    return SampledFunction(grid, np.maximum(0.0, best), name=f"M[{f.name}]")
 
 
 def sup_inf_over_cubes(g: SampledFunction, family: CubeFamily,
@@ -141,9 +140,7 @@ def sup_inf_over_cubes(g: SampledFunction, family: CubeFamily,
     if Q0 is None:
         Q0 = Cube(grid, (0,) * grid.dim, grid.cells_per_side)
     sub = g.values[Q0.slices]
-    best = np.full(sub.shape, -np.inf)
-    for sweep in cube_sweep(family, Q0):
-        best = np.maximum(best, sweep.to_points(sweep.mins(sub)))
+    best = containing_max(sub.shape, ((sweep, sweep.mins(sub)) for sweep in cube_sweep(family, Q0)))
     return _masked_points(grid, Q0, best, f"supinf[{g.name}]")
 
 

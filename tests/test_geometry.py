@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -104,34 +105,28 @@ def test_integrate_dyadic_additivity_exact():
         assert integrate(f, parent) == total  # exact, by halving summation
 
 
-def _recursive_halving_sum(a):
-    """Reference: split the longest axis (first on ties) at n // 2, recurse."""
-    if a.size == 0:
-        return 0.0
-    if a.size == 1:
-        return float(a.reshape(()))
-    axis = int(np.argmax(a.shape))
-    k = a.shape[axis] // 2
-    lo = a.take(indices=range(0, k), axis=axis)
-    hi = a.take(indices=range(k, a.shape[axis]), axis=axis)
-    return _recursive_halving_sum(lo) + _recursive_halving_sum(hi)
-
-
 @given(shape=st.lists(st.integers(0, 40), min_size=1, max_size=2).map(tuple),
        steps=st.tuples(st.integers(1, 3), st.sampled_from([1, -1])),
        seed=st.integers(0, 2**32 - 1))
 @example(shape=(1, 37), steps=(1, 1), seed=0)
 @example(shape=(37, 1), steps=(2, -1), seed=1)
 @example(shape=(33, 17), steps=(2, 1), seed=2)
-def test_planned_halving_sum_matches_recursion_bitwise(shape, steps, seed):
-    # values spread over many decades make every change of addition order show
+def test_halving_sum_within_pairwise_error_bound(shape, steps, seed):
+    # Pairwise summation over a tree of height h errs by at most
+    # gamma_h * sum|a|, gamma_h = h u / (1 - h u) (Higham 2002, sec. 4.2);
+    # halving splits each axis ceil(log2 n) times.  Values spread over many
+    # decades, and the reference is the exact rational sum.
     rng = np.random.default_rng(seed)
     stride, direction = steps
     big = tuple(n * stride for n in shape)
     base = rng.standard_normal(big) * 10.0 ** rng.integers(-12, 12, size=big)
     view = base[tuple(slice(None, None, stride * direction) for _ in shape)]
     assert view.shape == shape
-    assert _halving_sum(view) == _recursive_halving_sum(view)
+    h = sum(max(n - 1, 0).bit_length() for n in shape)
+    gamma_h = Fraction(h, 2**53 - h)  # h u / (1 - h u), u = 2^-53
+    exact = sum(map(Fraction, view.ravel().tolist()), Fraction(0))
+    err = abs(Fraction(_halving_sum(view)) - exact)
+    assert err <= gamma_h * sum(map(Fraction, np.abs(view).ravel().tolist()), Fraction(0))
 
 
 def test_dilate_clipped_measure_bound():

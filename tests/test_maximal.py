@@ -229,8 +229,9 @@ def test_2d_engine_matches_exhaustive_enumeration():
     g = Grid(2, 8)
     f = SampledFunction(g, rng.integers(-2 * 2**20, 2 * 2**20, size=(8, 8)) * 2.0**-20)
     q0 = Cube(g, (0, 0), 8)
-    for kind in ("all", "dyadic"):
-        fam = CubeFamily(g, kind)
+    # capped families start the descending size chain below the grid side
+    for fam in (CubeFamily(g, "all"), CubeFamily(g, "dyadic"),
+                CubeFamily(g, "all", max_side=3), CubeFamily(g, "dyadic", max_side=2)):
         ls = local_sharp_maximal(f, 0.5, q0, fam).values
         mf = fractional_maximal(f, 0.25, LinearGauge(1.0), fam).values
         si = sup_inf_over_cubes(f, fam).values
@@ -251,6 +252,7 @@ def test_2d_local_sharp_restricted_base_cube_exhaustive():
     for kind in ("all", "dyadic"):
         fam = CubeFamily(g, kind)
         out = local_sharp_maximal(f, 0.5, q0, fam).values
+        si = sup_inf_over_cubes(f, fam, q0).values
         for i in range(1, 6):
             for j in range(2, 7):
                 cubes = [q for q in fam.iter_cubes(containing=(i, j))
@@ -258,3 +260,7 @@ def test_2d_local_sharp_restricted_base_cube_exhaustive():
                                 and q.corner[d] + q.side_cells <= q0.corner[d] + 5
                                 for d in range(2))]
                 assert out[i, j] == max(brute_force_sharp(f.values[q.slices], 0.5) for q in cubes)
+                assert si[i, j] == max(f.values[q.slices].min() for q in cubes)
+        outside = np.ones(g.shape, dtype=bool)
+        outside[q0.slices] = False
+        assert np.all(np.isnan(out[outside])) and np.all(np.isnan(si[outside]))
