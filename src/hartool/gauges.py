@@ -11,8 +11,10 @@ linear case A(t) = t.  The module provides
   inf {lam : avg_Q A(|f|/lam) <= 1} and the raw norm with the plain
   integral in place of the average.  Every Luxemburg solve in the package
   is a row of `batched_mean_norms`, which takes the closed form for
-  pure-power gauges and otherwise a bracket plus per-row bisection to
-  LUXEMBURG_RTOL; the scalar norms are one-row batches,
+  pure-power gauges and otherwise a doubling/halving bracket, then per-row
+  Illinois steps in log-log coordinates to LUXEMBURG_RTOL, guarded by a
+  midpoint fallback for a NaN secant and a minimum step; the scalar norms
+  are one-row batches,
 * the Dini integral of a modulus of continuity with a documented
   divergence heuristic, and
 * the bump norm ( int_1^inf A(t)^(q/p) t^-q dt/t )^(1/q) with 1/q = 1/p - alpha,
@@ -460,7 +462,8 @@ def conjugate(A: YoungFunction, s: float) -> float:
 # Luxemburg norms
 
 _BRACKET_STEPS = 300  # doublings / halvings allowed while bracketing lambda
-_BISECT_STEPS = 200   # a factor-2 bracket reaches LUXEMBURG_RTOL in ~44 steps
+_SECANT_STEPS = 200   # Illinois steps; measured at most ~10 per row, and the
+                      # midpoint fallback alone needs ~44 on a factor-2 bracket
 
 
 def _power_norms(sums: np.ndarray, ncols: int, power: tuple[float, float],
@@ -480,9 +483,17 @@ def batched_mean_norms(windows: np.ndarray, A: YoungFunction, scale: float = 1.0
     scale = 1 gives the mean-normalized Luxemburg norm, scale = |Q| the raw
     norm, and scale = ncols / N a row that vanishes off its listed columns
     inside a region of N cells.  Pure-power gauges use the closed form.
-    Other gauges bracket lam by doubling/halving from max|w| and bisect each
-    row until its bracket is within LUXEMBURG_RTOL; a converged row stops
-    updating, so every row's result is independent of the rest of the batch."""
+    Other gauges bracket lam by doubling/halving from max|w|, then run
+    Illinois (regula falsi with the stale end's value halved when one end
+    moves twice; Dowell & Jarratt 1971) on the excess
+    h(u) = log(scale * mean A(|w| e^-u)) in u = log lam, which is linear for
+    powers and nearly so for the other gauges; h <= 0 is feasible.  A secant
+    that is NaN (an end's excess is +-inf) falls back to the midpoint, and
+    every point is clamped 0.4 LUXEMBURG_RTOL hi inside the bracket, so a
+    secant landing on an end closes the bracket next step.  Each row stops
+    when hi - lo <= LUXEMBURG_RTOL hi and returns its feasible hi; a stopped
+    row stops updating, so every row's result is independent of the rest of
+    the batch."""
     w = np.abs(np.asarray(windows, dtype=float))
     power = A.power_form()
     if power is not None:
@@ -493,33 +504,52 @@ def batched_mean_norms(windows: np.ndarray, A: YoungFunction, scale: float = 1.0
         return out
     w = w[live]
 
-    def feasible(rows, lam):
-        return scale * np.mean(A.value(w[rows] / lam[:, None]), axis=1) <= 1.0
+    def excess(rows, lam):
+        with np.errstate(divide="ignore"):
+            return np.log(scale * np.mean(A.value(w[rows] / lam[:, None]), axis=1))
 
     hi = w.max(axis=1)
     rows = np.arange(hi.size)
-    ok = feasible(rows, hi)
-    grow, shrink = rows[~ok], rows[ok]
+    h_hi = excess(rows, hi)
+    h_lo = np.full(hi.size, np.nan)
+    grow, shrink = rows[~(h_hi <= 0.0)], rows[h_hi <= 0.0]
     for _ in range(_BRACKET_STEPS):
         if grow.size == 0:
             break
+        h_lo[grow] = h_hi[grow]
         hi[grow] *= 2.0
-        grow = grow[~feasible(grow, hi[grow])]
+        h_hi[grow] = excess(grow, hi[grow])
+        grow = grow[~(h_hi[grow] <= 0.0)]
     for _ in range(_BRACKET_STEPS):
         if shrink.size == 0:
             break
         cand = hi[shrink] / 2.0
-        ok = feasible(shrink, cand)
-        hi[shrink[ok]] = cand[ok]
+        h = excess(shrink, cand)
+        ok = h <= 0.0
+        hi[shrink[ok]], h_hi[shrink[ok]] = cand[ok], h[ok]
+        h_lo[shrink[~ok]] = h[~ok]
         shrink = shrink[ok]
     lo = hi / 2.0  # infeasible: the bracket search just rejected it
-    for _ in range(_BISECT_STEPS):
+    moved = np.zeros(hi.size, dtype=np.int8)  # +1: hi moved last, -1: lo did
+    for _ in range(_SECANT_STEPS):
         if rows.size == 0:
             break
-        mid = 0.5 * (lo[rows] + hi[rows])
-        good = feasible(rows, mid)
-        hi[rows[good]] = mid[good]
-        lo[rows[~good]] = mid[~good]
+        a, b, ha, hb = lo[rows], hi[rows], h_lo[rows], h_hi[rows]
+        # the secant root in log lam, a convex combination of the ends; NaN
+        # when an end's excess is +-inf
+        with np.errstate(invalid="ignore", divide="ignore"):
+            lam = np.exp((ha * np.log(b) - hb * np.log(a)) / (ha - hb))
+        lam = np.where(np.isnan(lam), 0.5 * (a + b), lam)
+        step = 0.4 * LUXEMBURG_RTOL * b
+        lam = np.minimum(np.maximum(lam, a + step), b - step)
+        h = excess(rows, lam)
+        ok = h <= 0.0
+        up, down = rows[ok], rows[~ok]
+        hi[up], h_hi[up] = lam[ok], h[ok]
+        lo[down], h_lo[down] = lam[~ok], h[~ok]
+        h_lo[up[moved[up] > 0]] *= 0.5
+        h_hi[down[moved[down] < 0]] *= 0.5
+        moved[up], moved[down] = 1, -1
         rows = rows[hi[rows] - lo[rows] > LUXEMBURG_RTOL * hi[rows]]
     out[live] = hi
     return out

@@ -14,10 +14,10 @@ from itertools import combinations, product
 
 import numpy as np
 
-from ..gauges import (BorderlineLogModulus, ExpPowerGauge, HolderModulus, LinearGauge,
-                      LogModulus, PowerGauge, PowerLawWeight, PowerLogGauge, ScaledPowerGauge,
-                      YoungFunction, conjugate, dini_integral, luxemburg_mean_norm,
-                      luxemburg_raw_norm)
+from ..gauges import (BorderlineLogModulus, ConjugateGauge, ExpPowerGauge, HolderModulus,
+                      LinearGauge, LogModulus, PowerGauge, PowerLawWeight, PowerLogGauge,
+                      ScaledPowerGauge, YoungFunction, batched_mean_norms, conjugate,
+                      dini_integral, luxemburg_mean_norm, luxemburg_raw_norm)
 from ..geometry import (Cube, CubeFamily, Grid, SampledFunction, concentric_box, dilate,
                         enumerate_cubes, integrate, unclipped_dilate_measure)
 from ..maximal import (_window_count, fractional_maximal, lemma41_rhs, local_sharp_maximal,
@@ -28,10 +28,11 @@ from ..spaces import (_SNAP, TRUNCATION_FACTOR, _phi_inverse_of_inverse_measure,
 from ..weights import subset_ratio_exact
 
 __all__ = ["OracleCase", "run_oracle", "ORACLE_NAMES", "brute_force_sharp",
-           "exhaustive_subset_ratio", "ternary_conjugate", "per_box_prop51",
-           "per_box_lemma41"]
+           "exhaustive_subset_ratio", "ternary_conjugate", "bisection_mean_norm",
+           "CountingGauge", "per_box_prop51", "per_box_lemma41"]
 
 CONJUGATE_RTOL = 1e-12
+NUMERIC_NORM_RTOL = 1e-12  # numeric Luxemburg route against its references
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,45 @@ def ternary_conjugate(A: YoungFunction, s: float) -> float:
     return max(0.0, g(0.5 * (lo + hi)))
 
 
+def bisection_mean_norm(w: np.ndarray, A: YoungFunction, scale: float = 1.0) -> float:
+    """Smallest lam with scale * mean A(|w|/lam) <= 1, one row at a time: a
+    doubling/halving bracket, then plain bisection down to adjacent floats."""
+    w = np.abs(np.asarray(w, dtype=float)).ravel()
+    if not w.max(initial=0.0) > 0.0:
+        return 0.0
+    feasible = lambda lam: scale * float(np.mean(A.value(w / lam))) <= 1.0
+    lo = hi = float(w.max())
+    for _ in range(2000):
+        if feasible(hi):
+            break
+        hi *= 2.0
+    for _ in range(2000):
+        if not feasible(lo):
+            break
+        lo /= 2.0
+    for _ in range(2000):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class CountingGauge(YoungFunction):
+    """A gauge's values with its `power_form` hidden, so the Luxemburg
+    solvers take the numeric route; counts the `value` calls."""
+
+    def __init__(self, base: YoungFunction):
+        self.base, self.calls = base, 0
+
+    def value(self, t):
+        self.calls += 1
+        return self.base.value(t)
+
+
 def per_box_prop51(f: SampledFunction, Phi: YoungFunction, Psi: YoungFunction,
                    gamma: float, Q: Cube, cn_dn: float,
                    mf: SampledFunction) -> tuple[float, float, float]:
@@ -170,6 +210,31 @@ def _oracle_luxemburg(seed: int) -> list[OracleCase]:
                     _rel_err(luxemburg_raw_norm(f, Q, gauge), raw_ref))
     cases.append(OracleCase("luxemburg/power-closed-forms", worst <= 1e-9,
                             f"max relative error {worst:.3e} over 100 trials"))
+    # the numeric route: powers with power_form hidden against their closed
+    # form, every other gauge against the scalar bisection
+    rows = rng.uniform(-1, 1, (40, 24)) * 10.0 ** rng.uniform(-6, 6, (40, 1))
+    rows[0], rows[1, 1:], rows[2] = 0.0, 0.0, rows[2, 0]  # zero, one-nonzero, constant
+    worst_power = worst_other = 0.0
+    most_calls = 0
+    for scale in (0.05, 1.0, 40.0):
+        for gauge in (PowerGauge(1.5), PowerGauge(3.0), ScaledPowerGauge(2.5, 7.0),
+                      PowerLogGauge(2.0, 1.0), ExpPowerGauge(1.0),
+                      ConjugateGauge(PowerLogGauge(2.0, 1.0)), ConjugateGauge(ExpPowerGauge(1.0))):
+            counted = CountingGauge(gauge)
+            got = batched_mean_norms(rows, counted, scale)
+            most_calls = max(most_calls, counted.calls)
+            if gauge.power_form() is not None:
+                ref = batched_mean_norms(rows, gauge, scale)
+                worst_power = max([worst_power] + list(map(_rel_err, got, ref)))
+            else:
+                ref = [bisection_mean_norm(r, gauge, scale) for r in rows]
+                worst_other = max([worst_other] + list(map(_rel_err, got, ref)))
+    cases.append(OracleCase(
+        "luxemburg/numeric-route", max(worst_power, worst_other) <= NUMERIC_NORM_RTOL,
+        f"max relative error {worst_power:.3e} for hidden powers against the closed form, "
+        f"{worst_other:.3e} for power_log, exp_power and the conjugate tables against "
+        f"scalar bisection (bound {NUMERIC_NORM_RTOL:.0e}); at most {most_calls} gauge "
+        f"evaluations per batch of {rows.shape[0]} rows"))
     return cases
 
 

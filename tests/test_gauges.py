@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hartool import (BorderlineLogModulus, ConjugateGauge, Cube, CubeFamily,
                      ExpPowerGauge, Grid, HolderModulus, LinearGauge, LogModulus, PowerGauge,
@@ -10,8 +12,12 @@ from hartool import (BorderlineLogModulus, ConjugateGauge, Cube, CubeFamily,
                      ScaledPowerGauge, TabulatedWeight, bump_norm, conjugate,
                      dini_integral, evaluate, inverse, luxemburg_mean_norm,
                      luxemburg_raw_norm, modulus_from_json, young_from_json)
-from hartool.gauges import _legendre_table, batched_mean_norms
-from hartool.harness.oracles import ternary_conjugate
+from hartool.gauges import LUXEMBURG_RTOL, _legendre_table, _power_norms, batched_mean_norms
+from hartool.harness.oracles import CountingGauge, ternary_conjugate
+
+NUMERIC_GAUGES = [PowerLogGauge(2.0, 1.0), ExpPowerGauge(1.0),
+                  ConjugateGauge(PowerLogGauge(2.0, 1.0)), ConjugateGauge(ExpPowerGauge(1.0))]
+NUMERIC_IDS = ["power_log", "exp_power", "conjugate_power_log", "conjugate_exp_power"]
 
 ALL_GAUGES = [
     PowerGauge(2.0),
@@ -219,6 +225,74 @@ def test_batched_norms_match_one_row_batches_and_scalar_norms(gauge):
                                   [luxemburg_mean_norm(f, q, gauge) for q in cubes])
             assert np.array_equal(batched_mean_norms(rows, gauge, cubes[0].measure),
                                   [luxemburg_raw_norm(f, q, gauge) for q in cubes])
+
+
+@pytest.mark.parametrize("gauge", NUMERIC_GAUGES, ids=NUMERIC_IDS)
+def test_numeric_solve_makes_few_gauge_evaluations(gauge):
+    # bracket plus Illinois took 9-12 evaluations per batch here; bisection took 47-48
+    rng = np.random.default_rng(15)
+    rows = rng.uniform(-1, 1, (300, 16)) * 10.0 ** rng.uniform(-6, 6, (300, 1))
+    counted = CountingGauge(gauge)
+    norms = batched_mean_norms(rows, counted)
+    assert counted.calls <= 16
+    assert np.array_equal(norms, batched_mean_norms(rows, gauge))
+
+
+def test_numeric_solve_of_a_hidden_power_matches_the_closed_form():
+    rng = np.random.default_rng(16)
+    rows = rng.uniform(-1, 1, (300, 16)) * 10.0 ** rng.uniform(-6, 6, (300, 1))
+    rows[0] = 0.0
+    for scale in (0.05, 1.0, 40.0):
+        numeric = batched_mean_norms(rows, CountingGauge(PowerGauge(3.0)), scale)
+        exact = _power_norms(np.sum(np.abs(rows) ** 3, axis=1), rows.shape[1], (3.0, 1.0), scale)
+        assert numeric[0] == exact[0] == 0.0
+        assert np.allclose(numeric, exact, rtol=2e-13, atol=0.0)
+
+
+_MAGNITUDES = st.floats(1e-6, 1e6)
+
+
+@st.composite
+def _norm_rows(draw):
+    """A batch of rows of one width: spread over 1e-6..1e6 with signs and
+    zeros, all zero, one nonzero entry, or constant."""
+    ncols = draw(st.integers(1, 12))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["spread", "zero", "single", "constant"]),
+                              min_size=1, max_size=5)):
+        row = np.zeros(ncols)
+        if kind == "spread":
+            entry = st.one_of(st.just(0.0), _MAGNITUDES, _MAGNITUDES.map(lambda x: -x))
+            row[:] = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        elif kind == "single":
+            row[draw(st.integers(0, ncols - 1))] = draw(_MAGNITUDES)
+        elif kind == "constant":
+            row[:] = draw(_MAGNITUDES)
+        rows.append(row)
+    return np.array(rows)
+
+
+@given(gauge=st.sampled_from(NUMERIC_GAUGES), rows=_norm_rows(),
+       scale=st.sampled_from([0.05, 1.0, 40.0]), factor=st.floats(1e-3, 1e3),
+       growth=st.floats(0.0, 1.0))
+# a constant row: exp_power's bracket doubles from max|w|
+@example(gauge=ExpPowerGauge(1.0), rows=np.full((1, 4), 3.0), scale=1.0, factor=7.0,
+         growth=0.5)
+def test_numeric_norm_properties(gauge, rows, scale, factor, growth):
+    lam = batched_mean_norms(rows, gauge, scale)
+    # each row is solved on its own
+    assert np.array_equal(lam, [batched_mean_norms(r[None, :], gauge, scale)[0] for r in rows])
+    assert np.all((lam > 0) == np.any(rows != 0, axis=1))
+    # the smallest feasible lambda, to the solver's relative tolerance
+    live = lam > 0
+    level = lambda x: scale * np.mean(gauge.value(np.abs(rows[live]) / x[:, None]), axis=1)
+    assert np.all(level(lam[live]) <= 1.0)
+    assert np.all(level(lam[live] * (1.0 - 2.0 * LUXEMBURG_RTOL)) > 1.0)
+    # homogeneous of degree one, and monotone in |w|
+    scaled = batched_mean_norms(factor * rows, gauge, scale)
+    assert np.allclose(scaled, factor * lam, rtol=4.0 * LUXEMBURG_RTOL, atol=0.0)
+    bigger = batched_mean_norms(np.abs(rows) * (1.0 + growth), gauge, scale)
+    assert np.all(bigger >= lam * (1.0 - 2.0 * LUXEMBURG_RTOL))
 
 
 def test_holder_inequality_mean_norms():
