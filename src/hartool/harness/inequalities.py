@@ -110,22 +110,18 @@ class RatioCollector:
                          [int(v) for v in np.unravel_index(flat, shape)])
         for lhs, rhs, tag in self._scalars:
             if not (math.isfinite(lhs) and math.isfinite(rhs)):
-                failures.append({"reason": "non-finite value", "tag": tag,
-                                 "lhs": lhs, "rhs": rhs})
-                continue
-            if rhs == 0.0:
-                if lhs == 0.0:
-                    skipped += 1
-                elif len(failures) < MAX_REPORTED_FAILURES:
-                    failures.append({"reason": "rhs zero with positive lhs",
-                                     "tag": tag, "lhs": lhs})
-                continue
-            if rhs < floor:
+                failures.append({"reason": "non-finite value", "tag": tag, "lhs": lhs, "rhs": rhs})
+            elif rhs == 0.0 and lhs == 0.0:
+                skipped += 1
+            elif rhs == 0.0:
+                failures.append({"reason": "rhs zero with positive lhs", "tag": tag, "lhs": lhs})
+            elif rhs < floor:
                 excluded += 1
-                continue
-            consider(lhs / rhs, lhs, rhs, tag, None)
+            else:
+                consider(lhs / rhs, lhs, rhs, tag, None)
+        # one cap per grid over both paths; each array contributed at most the cap
         return {"c_emp": c_emp, "witness": witness, "excluded": excluded,
-                "skipped": skipped, "failures": failures}
+                "skipped": skipped, "failures": failures[:MAX_REPORTED_FAILURES]}
 
 
 # ---------------------------------------------------------------------------

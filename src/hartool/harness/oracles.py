@@ -23,8 +23,7 @@ from ..geometry import (Cube, CubeFamily, Grid, SampledFunction, concentric_box,
 from ..maximal import (_window_count, fractional_maximal, lemma41_rhs, local_sharp_maximal,
                        sharp_median, sup_inf_over_cubes)
 from ..operators import LambdaSequence
-from ..spaces import (_SNAP, TRUNCATION_FACTOR, _phi_inverse_of_inverse_measure,
-                      campanato_seminorm, morrey_norm, prop51_gap)
+from ..spaces import _SNAP, TRUNCATION_FACTOR, campanato_seminorm, morrey_norm, prop51_gap
 from ..weights import subset_ratio_exact
 
 __all__ = ["OracleCase", "run_oracle", "ORACLE_NAMES", "brute_force_sharp",
@@ -158,7 +157,7 @@ def per_box_prop51(f: SampledFunction, Phi: YoungFunction, Psi: YoungFunction,
     t_cap = int(round(TRUNCATION_FACTOR * grid.side_length / h))
     j_lo_excl = int(math.floor(cn_dn * Q.side_cells + _SNAP)) + 1
     j_lo_incl = int(math.ceil(cn_dn * Q.side_cells - _SNAP))
-    psi_inv = lambda meas: _phi_inverse_of_inverse_measure(Psi, meas)
+    psi_inv = lambda meas: Psi.inverse(1.0 / meas)
     absf = abs(f)
     sup_i = sup_ii = 0.0
     for j in range(min(j_lo_incl, j_lo_excl), t_cap + 1):
@@ -322,23 +321,30 @@ def _oracle_conjugate(seed: int) -> list[OracleCase]:
     cases = []
     for p in (1.5, 2.0, 3.0):
         gauge = ScaledPowerGauge(p, 1.0 / p)  # A = t^p / p is self-dual family
-        pprime = p / (p - 1.0)
-        worst = 0.0
-        for s in (0.25, 1.0, 2.0, 7.5):
-            ref = s**pprime / pprime
-            worst = max(worst, _rel_err(conjugate(gauge, s), ref))
+        q = p / (p - 1.0)
+        worst = max(_rel_err(conjugate(gauge, s), s**q / q) for s in (0.25, 1.0, 2.0, 7.5))
         cases.append(OracleCase(f"conjugate/power-p{p}", worst <= 1e-6,
                                 f"max relative error {worst:.3e}"))
-    # Legendre table against the ternary search; the bounds are about twice
-    # the measured errors.  exp_power's worst point sits at s ~ 1.035, where
-    # A* ~ 6e-4 and the log-log interpolation meets the kink of A* at s = 1.
+    # Legendre table against the ternary search; the bounds are about three
+    # times the measured errors (3.9e-9 and 3.5e-8), which are the linear
+    # log-log interpolation between knots
     ss = np.logspace(-3, 3, 200)
-    for gauge, bound in ((PowerLogGauge(2.0, 1.0), 5e-8), (ExpPowerGauge(1.0), 1e-4)):
+    for gauge, bound in ((PowerLogGauge(2.0, 1.0), 1e-8), (ExpPowerGauge(1.0), 1e-7)):
         got = conjugate(gauge, ss)
         worst = max(_rel_err(g, ternary_conjugate(gauge, s)) for g, s in zip(got, ss))
         cases.append(OracleCase(f"conjugate/table-{gauge.family}", worst <= bound,
                                 f"max relative error {worst:.3e} against the ternary "
                                 f"search (bound {bound:.0e})"))
+    # just above the kink of exp(t) - 1 at s = 1, against the closed form
+    # s log s - s + 1 = sum_n (-d)^n / (n (n - 1)) with d = s - 1, summed for d < 0.01
+    d = (1.0 + np.logspace(-12, math.log10(0.2), 2000)) - 1.0  # exact: s = 1 + d
+    ref = np.where(d < 0.01, d * d * (1/2 - d * (1/6 - d * (1/12 - d * (1/20 - d / 30)))),
+                   (1.0 + d) * np.log1p(d) - d)
+    got = conjugate(ExpPowerGauge(1.0), 1.0 + d)
+    worst, zeros = float(np.max(np.abs(got - ref) / ref)), int(np.count_nonzero(got == 0.0))
+    cases.append(OracleCase("conjugate/table-exp_power-kink", worst <= 1e-6 and zeros == 0,
+                            f"max relative error {worst:.3e} and {zeros} zero readings on "
+                            f"2000 s in (1, 1.2] against the closed form (bound 1e-6)"))
     return cases
 
 

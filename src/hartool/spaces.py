@@ -45,13 +45,6 @@ TRUNCATION_FACTOR = 2.0  # sup over t runs up to this multiple of the domain sid
 CAMPANATO_TERNARY_ITERS = 90  # ternary steps for the per-cube best constant
 
 
-def _phi_inverse_of_inverse_measure(Phi: YoungFunction, meas: float) -> float:
-    power = Phi.power_form()
-    if power is not None:
-        return (1.0 / (meas * power[1])) ** (1.0 / power[0])
-    return Phi.inverse(1.0 / meas)
-
-
 def morrey_norm(f: SampledFunction, Phi: YoungFunction, phi: MorreyWeight,
                 family: CubeFamily) -> float:
     """sup over family cubes of (1/phi(x, l)) Phi^{-1}(1/|Q|) ||f||_{Phi,Q}."""
@@ -59,7 +52,7 @@ def morrey_norm(f: SampledFunction, Phi: YoungFunction, phi: MorreyWeight,
     best = 0.0
     for sweep, norms in norms_by_size(f.values, Phi, family, raw=True):
         l = sweep.m * h
-        factor = _phi_inverse_of_inverse_measure(Phi, l**f.grid.dim) / float(phi.value(None, l))
+        factor = Phi.inverse(1.0 / l**f.grid.dim) / float(phi.value(None, l))
         best = max(best, factor * float(norms.max(initial=0.0)))
     return best
 
@@ -94,7 +87,7 @@ def campanato_seminorm(f: SampledFunction, Phi: YoungFunction, phi: MorreyWeight
                 hi = np.where(take, c2, hi)
                 lo = np.where(take, lo, c1)
             norms = raw(0.5 * (lo + hi))
-        factor = _phi_inverse_of_inverse_measure(Phi, meas) / float(phi.value(None, l))
+        factor = Phi.inverse(1.0 / meas) / float(phi.value(None, l))
         best = max(best, factor * float(norms.max(initial=0.0)))
     return best
 
@@ -144,8 +137,8 @@ def prop51_gap(f: SampledFunction, Phi: YoungFunction, Psi: YoungFunction,
     of |f| and |f|^p over every box come from one pass over the cells in
     order of `concentric_rank`, and the power gauges' raw Luxemburg norms
     from their closed form."""
-    _power_exponents(Phi, Psi, gamma)
-    p, a = Phi.power_form()
+    p, q = _power_exponents(Phi, Psi, gamma)
+    a = Phi.power_form()[1]
     grid = f.grid
     if mf is None:
         mf = fractional_maximal(f, gamma, LinearGauge(1.0), CubeFamily(grid, "all"))
@@ -155,7 +148,7 @@ def prop51_gap(f: SampledFunction, Phi: YoungFunction, Psi: YoungFunction,
     t_cap = int(round(TRUNCATION_FACTOR * grid.side_length / h))
     j_lo_excl = int(math.floor(cn_dn * Q.side_cells + _SNAP)) + 1  # t strictly above
     j_lo_incl = int(math.ceil(cn_dn * Q.side_cells - _SNAP))
-    psi_inv_q = _phi_inverse_of_inverse_measure(Psi, Q.measure)
+    psi_inv_q = Psi.inverse(1.0 / Q.measure)
     # entry j - 1 is the box of side j cells, j = 1..t_cap; none is empty
     rank = concentric_rank(grid, Q.center2).ravel()
     box_sums = lambda w: np.bincount(rank, w.ravel(), t_cap + 1)[1:t_cap + 1].cumsum()
@@ -164,10 +157,11 @@ def prop51_gap(f: SampledFunction, Phi: YoungFunction, Psi: YoungFunction,
     j = np.arange(1, t_cap + 1)
     unclipped = (j * h) ** grid.dim
     sup_i = (cellm * box_sums(absf) / unclipped ** (1.0 - gamma))[j >= j_lo_excl]
-    sup_ii = (_phi_inverse_of_inverse_measure(Psi, unclipped) * norm_f)[j >= j_lo_incl]
+    # Psi^{-1}(1/|B|) / Psi^{-1}(1/|Q|) = (|Q|/|B|)^(1/q) for the power gauge Psi
+    sup_ii = ((Q.measure / unclipped) ** (1.0 / q) * norm_f)[j >= j_lo_incl]
     empty = j_lo_excl > t_cap and j_lo_incl > t_cap
     rhs_i = norm_f[2 * Q.side_cells - 1] + sup_i.max(initial=0.0) / psi_inv_q
-    rhs_ii = sup_ii.max(initial=0.0) / psi_inv_q
+    rhs_ii = sup_ii.max(initial=0.0)
     return Prop51Record(lhs, rhs_i, rhs_ii, empty, t_cap * h)
 
 

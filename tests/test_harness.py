@@ -93,6 +93,19 @@ def test_collector_zero_cases():
     assert res["failures"] and res["failures"][0]["reason"] == "rhs zero with positive lhs"
 
 
+def test_collector_reports_at_most_five_failures_per_grid():
+    col = RatioCollector()
+    for i in range(7):
+        col.add_scalar(math.nan, 1.0, {"function": i})
+    assert len(col.finalize()["failures"]) == 5
+    col = RatioCollector()
+    for i in range(3):
+        col.add_array(np.ones(6), np.zeros(6), {"function": i})
+    col.add_scalar(1.0, 0.0, {"function": 3})
+    res = col.finalize()
+    assert len(res["failures"]) == 5 and res["c_emp"] == 0.0
+
+
 def test_collector_excludes_near_zero_rhs():
     col = RatioCollector()
     col.add_array(np.array([1.0, 1.0]), np.array([1.0, 1e-20]), {"function": 0})
