@@ -22,12 +22,16 @@ linear case A(t) = t.  The module provides
   whose finiteness defines the integrability classes used by the
   two-weight results.
 
-Divergence detection is heuristic.  Both integral classifiers compare
-per-decade contributions: a clearly geometric decay is convergent, a
-decade ratio above RATIO_DIVERGENT is divergent, and the gray zone is
-resolved by fitting the decay exponent a of s_k ~ k^-a (divergent iff
-a <= EXPONENT_BORDERLINE).  The analytic families used in tests have
-known ground truth for all branches.
+Divergence detection is heuristic, and the two integrals use different
+tests.  The Dini integral compares per-decade contributions
+(`_classify_decay`): a clearly geometric decay is convergent, a decade
+ratio above RATIO_DIVERGENT is divergent, and the gray zone is resolved
+by fitting the decay exponent a of s_k ~ k^-a (divergent iff
+a <= EXPONENT_BORDERLINE).  The bump norm fits the power-law exponent of
+its integrand over the last decade below its cutoff t = 1e8 and is
+divergent iff that exponent (in dt) is >= -1; otherwise it adds the
+power-law tail beyond the cutoff.  The analytic families used in tests
+have known ground truth for all branches.
 """
 
 from __future__ import annotations

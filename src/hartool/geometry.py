@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 
+_SNAP = 1e-9  # guards floor/ceil of a real multiple of a cell count (t*n) against float noise
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 

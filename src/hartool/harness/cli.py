@@ -5,9 +5,10 @@
     hartool oracle NAME [--seed S]
 
 `run` executes one inequality config and writes the canonical JSON report;
-the exit code is 0 iff every verdict passes.  `list` prints the inequality
-catalog with required parameters.  `oracle` runs a named brute-force
-oracle suite and prints one pass/fail line per case.
+the exit code is 0 iff every verdict passes and 2 for a rejected config.
+`list` prints the inequality catalog with the config fields each id reads.
+`oracle` runs a named brute-force oracle suite and prints one pass/fail
+line per case.
 """
 
 from __future__ import annotations

@@ -12,11 +12,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
-from ..gauges import (LinearGauge, PowerGauge, YoungFunction, modulus_from_json,
+from ..gauges import (ConjugateGauge, LinearGauge, PowerGauge, YoungFunction, modulus_from_json,
                       morrey_weight_from_json, young_from_json)
 from ..geometry import CubeFamily, Grid
 from ..operators import KernelSpec, kernel_from_json
+from .suite import draw_suite_params
 
 __all__ = ["ConfigError", "DENSE_KERNEL_BUDGET_BYTES", "ExperimentConfig", "INEQUALITY_CATALOG",
            "default_config"]
@@ -31,41 +33,53 @@ class ConfigError(ValueError):
 DENSE_KERNEL_BUDGET_BYTES = 512 * 2**20
 
 
+# The fields every run reads: the grids, the seed, the suite and the cube family.
+SHARED_FIELDS = ("inequality_id", "dim", "grid_sizes", "side_length", "origin", "seed",
+                 "stability_factor", "threads", "family", "suite")
+
+# Per id, "params" lists every other config field its runner reads; it is the
+# one declaration of an id's inputs: whether a run builds the kernel and the
+# weight suite, and which hypotheses validate() checks, follow from it.
+# "conjugated" names the gauge fields whose conjugate the runner evaluates.
 INEQUALITY_CATALOG: dict[str, dict] = {
     "eq12": {
         "summary": "pointwise domination of the fractional maximal function by "
                    "the fractional integral of |f|, with explicit constant",
-        "params": ["gamma", "dim", "grid_sizes", "suite", "family"],
+        "params": ["gamma", "kernel"],
     },
     "thm21": {
         "summary": "local sharp maximal of the kernel transform bounded by the "
                    "order-r fractional maximal function",
-        "params": ["gamma", "r", "s", "kernel", "suite", "family"],
+        "params": ["gamma", "r", "s", "kernel"],
     },
     "thm22": {
         "summary": "local sharp maximal of the transform bounded via the "
                    "conjugate-gauge fractional maximal function",
-        "params": ["gamma", "s", "kernel", "gauge_a", "suite", "family"],
+        "params": ["gamma", "s", "kernel", "gauge_a"],
+        "conjugated": ["gauge_a"],
     },
     "thm23": {
         "summary": "local sharp maximal bound for products of "
                    "invertible-coefficient power kernels",
-        "params": ["gamma", "s", "kernel(homogeneous)", "suite", "family"],
+        "params": ["gamma", "s", "kernel"],
     },
     "thm31": {
         "summary": "weighted local mean of Phi(|Tf - median|) bounded by the "
                    "weighted mean of Phi of the fractional maximal function",
-        "params": ["gamma", "r", "gauge_phi", "weight_pair", "t_scan", "suite", "weight_suite"],
+        "params": ["gamma", "r", "kernel", "gauge_phi", "weight_pair", "weight_order", "t_scan",
+                   "weight_suite"],
     },
     "eq33": {
         "summary": "global weighted Phi-integral of |Tf| bounded when the "
                    "medians of Tf decay on growing cubes",
-        "params": ["gamma", "r", "gauge_phi", "weight_pair", "suite", "weight_suite"],
+        "params": ["gamma", "r", "kernel", "gauge_phi", "weight_pair", "weight_order", "t_scan",
+                   "weight_suite"],
     },
     "lem41": {
         "summary": "sharp median of Tf on random cubes bounded by the "
                    "lambda-weighted dilate sums of f",
-        "params": ["gamma", "r", "s", "omega", "c_n", "cube_samples", "suite"],
+        "params": ["gamma", "r", "s", "kernel", "lambda_source", "omega", "gauge_a", "c_n",
+                   "cube_samples"],
     },
     "eq45_check": {
         "summary": "finiteness and refinement stability of the two-weight bump product",
@@ -74,25 +88,27 @@ INEQUALITY_CATALOG: dict[str, dict] = {
     "thm42": {
         "summary": "two-weight strong bound: weighted q-norm of Tf by the "
                    "weighted p-norm of f under the bump condition",
-        "params": ["gamma", "r", "p", "q", "alpha1", "alpha2", "gauge_a", "gauge_b", "suite"],
+        "params": ["gamma", "r", "p", "q", "alpha1", "alpha2", "kernel", "gauge_a", "gauge_b",
+                   "omega", "c_n", "weight_pair", "weight_order", "t_scan", "weight_suite"],
+        "conjugated": ["gauge_a", "gauge_b"],
     },
     "prop51": {
         "summary": "localization gap for the fractional maximal operator on sampled cubes",
-        "params": ["gamma", "p", "c_n", "d_n", "cube_samples", "suite"],
+        "params": ["gamma", "p", "c_n", "d_n", "cube_samples"],
     },
     "thm52": {
         "summary": "Morrey-to-Morrey boundedness of the fractional maximal operator",
-        "params": ["gamma", "p", "morrey_phi", "morrey_psi", "suite", "family"],
+        "params": ["gamma", "p", "morrey_phi", "morrey_psi"],
     },
     "thm53": {
         "summary": "Morrey boundedness of sublinear operators dominated by the "
                    "fractional kernel",
-        "params": ["gamma", "p", "morrey_phi", "morrey_psi", "operators", "suite", "family"],
+        "params": ["gamma", "p", "morrey_phi", "morrey_psi", "operators", "kernel"],
     },
     "eq19": {
         "summary": "Campanato seminorm of Tf bounded by the Morrey norm of the "
                    "fractional maximal function",
-        "params": ["gamma", "q", "morrey_psi", "kernel", "suite", "family"],
+        "params": ["gamma", "q", "kernel", "morrey_psi"],
     },
 }
 
@@ -258,10 +274,7 @@ class ExperimentConfig:
             raise ConfigError("hypothesis violated: s must lie in (0, 1/2]")
         if not self.r >= 1:
             raise ConfigError("hypothesis violated: r must be >= 1")
-        needs_kernel_gamma = self.inequality_id in (
-            "eq12", "thm21", "thm22", "thm23", "thm31", "eq33", "lem41", "thm42", "eq19")
-        builds_kernel = needs_kernel_gamma or (
-            self.inequality_id == "thm53" and "riesz" in self.operators)
+        builds_kernel = self.builds_kernel()
         for n in self.grid_sizes if builds_kernel else ():
             nbytes = (n**self.dim) ** 2 * 8
             if nbytes > DENSE_KERNEL_BUDGET_BYTES:
@@ -269,49 +282,38 @@ class ExperimentConfig:
                     f"resource limit: the dense kernel matrix of the {self.dim}D grid N={n} "
                     f"needs {nbytes} bytes ({nbytes / 2**20:.0f} MiB), over the "
                     f"DENSE_KERNEL_BUDGET_BYTES budget of {DENSE_KERNEL_BUDGET_BYTES} bytes")
-        if needs_kernel_gamma and not 0 < self.gamma < 1:
-            raise ConfigError("hypothesis violated: gamma must lie in (0, 1)")
-        if not needs_kernel_gamma and not 0 <= self.gamma < 1:
-            raise ConfigError("hypothesis violated: gamma must lie in [0, 1)")
-        for t in self.t_scan:
-            if not 0.5 < t < 1:
-                raise ConfigError("hypothesis violated: median levels t must lie in (1/2, 1)")
-        if self.lambda_source not in ("omega", "hormander"):
-            raise ConfigError("hypothesis violated: lambda_source must be omega or hormander")
-        if self.inequality_id == "thm42":
-            if not self.r < self.p < self.q:
-                raise ConfigError("hypothesis violated: thm42 needs r < p < q, got "
-                                  f"r={self.r}, p={self.p}, q={self.q}")
-            if not self.gamma * self.r < 1:
-                raise ConfigError("hypothesis violated: thm42 needs gamma * r < 1")
-            alpha = 1.0 / self.p - 1.0 / self.q
-            _, a1, a2 = self.resolved_alphas()
-            if a1 < 0 or a2 < 0:
-                raise ConfigError("hypothesis violated: alpha1, alpha2 must be nonnegative")
-            if abs((a1 + a2) - alpha) > 1e-12:
-                raise ConfigError("hypothesis violated: alpha1 + alpha2 must equal 1/p - 1/q")
-        if self.inequality_id == "eq45_check":
-            if not self.r < self.p < self.q:
-                raise ConfigError("hypothesis violated: bump product needs r < p < q")
-        if self.inequality_id in ("prop51", "thm52", "thm53", "eq19"):
-            if self.inequality_id != "eq19":
-                if not 1.0 / self.p - self.gamma > 0:
-                    raise ConfigError("hypothesis violated: matched-exponent relation needs "
-                                      "gamma < 1/p (so that 1/q = 1/p - gamma is positive)")
-            # morrey weights must construct
-            self.resolved_morrey("morrey_phi")
-            self.resolved_morrey("morrey_psi")
-        if self.inequality_id == "thm23":
-            k = self.resolved_kernel()
-            if k.to_json().get("variant") != "homogeneous":
-                raise ConfigError("hypothesis violated: thm23 requires a homogeneous kernel")
-        if self.inequality_id == "thm53":
+        if self.inequality_id == "thm53":  # ahead of the gamma range: its message says what to drop
             for op in self.operators:
                 if op not in ("maximal", "riesz"):
                     raise ConfigError(f"hypothesis violated: unknown operator {op!r} for thm53")
             if "riesz" in self.operators and not self.gamma > 0:
                 raise ConfigError("hypothesis violated: the fractional integral operator "
                                   "requires gamma > 0 (drop it from operators for gamma = 0)")
+        if builds_kernel and not 0 < self.gamma < 1:
+            raise ConfigError("hypothesis violated: gamma must lie in (0, 1)")
+        if not builds_kernel and not 0 <= self.gamma < 1:
+            raise ConfigError("hypothesis violated: gamma must lie in [0, 1)")
+        for t in self.t_scan:
+            if not 0.5 < t < 1:
+                raise ConfigError("hypothesis violated: median levels t must lie in (1/2, 1)")
+        if self.lambda_source not in ("omega", "hormander"):
+            raise ConfigError("hypothesis violated: lambda_source must be omega or hormander")
+        if self.inequality_id in ("thm42", "eq45_check") and not self.r < self.p < self.q:
+            raise ConfigError("hypothesis violated: the two-weight bump product of "
+                              f"{self.inequality_id} needs r < p < q, got "
+                              f"r={self.r}, p={self.p}, q={self.q}")
+        if self.inequality_id == "thm42":
+            if not self.gamma * self.r < 1:
+                raise ConfigError("hypothesis violated: thm42 needs gamma * r < 1")
+            alpha, a1, a2 = self.resolved_alphas()
+            if a1 < 0 or a2 < 0:
+                raise ConfigError("hypothesis violated: alpha1, alpha2 must be nonnegative")
+            if abs((a1 + a2) - alpha) > 1e-12:
+                raise ConfigError("hypothesis violated: alpha1 + alpha2 must equal 1/p - 1/q")
+        if self.inequality_id in ("prop51", "thm52", "thm53"):
+            if not 1.0 / self.p - self.gamma > 0:
+                raise ConfigError("hypothesis violated: matched-exponent relation needs "
+                                  "gamma < 1/p (so that 1/q = 1/p - gamma is positive)")
         if self.inequality_id == "eq19" and not self.q > 1:
             raise ConfigError("hypothesis violated: eq19 needs a gauge exponent q > 1")
         mode = self.weight_pair.get("mode", "maximal")
@@ -321,10 +323,36 @@ class ExperimentConfig:
         if mode not in ("maximal", "same", "unit"):
             raise ConfigError("hypothesis violated: weight_pair mode must be one of "
                               "maximal, same, unit")
-        # descriptor sanity: everything must construct
-        self.resolved_kernel() if needs_kernel_gamma else None
-        self.resolved_gauge("gauge_phi")
-        self.resolved_omega()
+        # every descriptor must construct; a conjugated gauge must also be
+        # convex, which evaluating its conjugate once checks (a non-power
+        # base's table is cached, so the run reuses it)
+        grid = lambda: self.grid_for(self.grid_sizes[0])
+        conjugate = lambda g: ConjugateGauge(self.resolved_gauge(g)).value(1.0)
+        builders = [("side_length/origin", grid),
+                    ("family", lambda: self.family_for(grid())),
+                    ("suite", lambda: draw_suite_params(self.suite, self.dim, self.seed)),
+                    ("weight_suite", lambda: draw_suite_params(self.weight_suite, self.dim, self.seed)),
+                    ("omega", self.resolved_omega)]
+        builders += [(g, partial(self.resolved_gauge, g)) for g in ("gauge_a", "gauge_b", "gauge_phi")]
+        builders += [(m, partial(self.resolved_morrey, m)) for m in ("morrey_phi", "morrey_psi")]
+        builders += [(g, partial(conjugate, g))
+                     for g in INEQUALITY_CATALOG[self.inequality_id].get("conjugated", ())]
+        if builds_kernel:
+            builders.append(("kernel", self.resolved_kernel))
+        for name, build in builders:
+            try:
+                build()
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ConfigError(f"bad descriptor {name}: {exc}") from exc
+        if self.inequality_id == "thm23":
+            if self.resolved_kernel().to_json().get("variant") != "homogeneous":
+                raise ConfigError("hypothesis violated: thm23 requires a homogeneous kernel")
+
+    def builds_kernel(self) -> bool:
+        """True when a run applies the kernel: the id reads `kernel` and, for an
+        id that takes an operator list, the fractional integral is among them."""
+        params = INEQUALITY_CATALOG[self.inequality_id]["params"]
+        return "kernel" in params and ("operators" not in params or "riesz" in self.operators)
 
 
 def default_config(inequality_id: str, **overrides) -> ExperimentConfig:

@@ -18,12 +18,12 @@ from ..gauges import (BorderlineLogModulus, ConjugateGauge, ExpPowerGauge, Holde
                       LinearGauge, LogModulus, PowerGauge, PowerLawWeight, PowerLogGauge,
                       ScaledPowerGauge, YoungFunction, batched_mean_norms, conjugate,
                       dini_integral, luxemburg_mean_norm, luxemburg_raw_norm)
-from ..geometry import (Cube, CubeFamily, Grid, SampledFunction, concentric_box, dilate,
+from ..geometry import (_SNAP, Cube, CubeFamily, Grid, SampledFunction, concentric_box, dilate,
                         enumerate_cubes, integrate, unclipped_dilate_measure)
 from ..maximal import (_window_count, fractional_maximal, lemma41_rhs, local_sharp_maximal,
                        sharp_median, sup_inf_over_cubes)
 from ..operators import LambdaSequence
-from ..spaces import _SNAP, TRUNCATION_FACTOR, campanato_seminorm, morrey_norm, prop51_gap
+from ..spaces import TRUNCATION_FACTOR, campanato_seminorm, morrey_norm, prop51_gap
 from ..weights import subset_ratio_exact
 
 __all__ = ["OracleCase", "run_oracle", "ORACLE_NAMES", "brute_force_sharp",

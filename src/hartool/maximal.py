@@ -20,7 +20,8 @@ import numpy as np
 
 from ._sweeps import containing_max, cube_sweep, norms_by_size
 from .gauges import YoungFunction
-from .geometry import Cube, CubeFamily, SampledFunction, concentric_rank, unclipped_dilate_measure
+from .geometry import (_SNAP, Cube, CubeFamily, SampledFunction, concentric_rank,
+                       unclipped_dilate_measure)
 from .operators import LambdaSequence
 
 __all__ = [
@@ -33,8 +34,6 @@ __all__ = [
     "sup_inf_over_cubes",
     "lemma41_rhs",
 ]
-
-_SNAP = 1e-9  # guards order-statistic indices against float noise in t*n
 
 
 def _median_index(t: float, n: int) -> int:

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sweeps import cube_sweep, norms_by_size
-from .gauges import (LinearGauge, MorreyWeight, YoungFunction, batched_mean_norms,
+from .gauges import (LinearGauge, MorreyWeight, YoungFunction, _power_norms, batched_mean_norms,
                      luxemburg_raw_norm)
-from .geometry import Cube, CubeFamily, Grid, SampledFunction, concentric_rank
+from .geometry import _SNAP, Cube, CubeFamily, Grid, SampledFunction, concentric_rank
 from .maximal import fractional_maximal
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "compat_53",
 ]
 
-_SNAP = 1e-9
 TRUNCATION_FACTOR = 2.0  # sup over t runs up to this multiple of the domain side
 CAMPANATO_TERNARY_ITERS = 90  # ternary steps for the per-cube best constant
 
@@ -138,7 +137,6 @@ def prop51_gap(f: SampledFunction, Phi: YoungFunction, Psi: YoungFunction,
     order of `concentric_rank`, and the power gauges' raw Luxemburg norms
     from their closed form."""
     p, q = _power_exponents(Phi, Psi, gamma)
-    a = Phi.power_form()[1]
     grid = f.grid
     if mf is None:
         mf = fractional_maximal(f, gamma, LinearGauge(1.0), CubeFamily(grid, "all"))
@@ -153,7 +151,7 @@ def prop51_gap(f: SampledFunction, Phi: YoungFunction, Psi: YoungFunction,
     rank = concentric_rank(grid, Q.center2).ravel()
     box_sums = lambda w: np.bincount(rank, w.ravel(), t_cap + 1)[1:t_cap + 1].cumsum()
     absf = np.abs(f.values)
-    norm_f = (a * cellm * box_sums(absf**p)) ** (1.0 / p)  # raw Luxemburg norm on each box
+    norm_f = _power_norms(box_sums(absf**p), 1, Phi.power_form(), cellm)  # raw norm on each box
     j = np.arange(1, t_cap + 1)
     unclipped = (j * h) ** grid.dim
     sup_i = (cellm * box_sums(absf) / unclipped ** (1.0 - gamma))[j >= j_lo_excl]

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._sweeps import cube_sweep, norms_by_size
 from .gauges import YoungFunction
-from .geometry import Cube, CubeFamily, SampledFunction
+from .geometry import _SNAP, Cube, CubeFamily, SampledFunction
 
 __all__ = [
     "ConditionFParams",
@@ -37,8 +37,6 @@ __all__ = [
     "ainfty_constant",
     "bump_condition",
 ]
-
-_SNAP = 1e-9
 
 
 @dataclass(frozen=True)

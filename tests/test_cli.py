@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from hartool.harness import default_config
 from hartool.harness.cli import main
 
@@ -77,6 +79,41 @@ def test_run_rejects_dense_kernel_over_budget(tmp_path, capsys):
     assert "config rejected" in err and "N=128" in err and "2147483648 bytes" in err
     default_config("eq12", dim=2, grid_sizes=(32, 64))  # 128 MiB fits
     default_config("prop51", dim=2, grid_sizes=(64, 128))  # builds no kernel
+
+
+# Each descriptor below fails to construct (or, for the power_log base, is
+# not convex, so its conjugate does not exist); the run must stop at
+# validation with exit 2 and name the field.
+BAD_DESCRIPTORS = {
+    "thm22_gauge_a_power_below_1": (
+        {"inequality_id": "thm22", "gauge_a": {"family": "power", "p": 0.5}}, "gauge_a"),
+    "lem41_hormander_gauge_a_power_below_1": (
+        {"inequality_id": "lem41", "lambda_source": "hormander",
+         "gauge_a": {"family": "power", "p": 0.5}}, "gauge_a"),
+    "unknown_gauge_family": (
+        {"inequality_id": "thm22", "gauge_a": {"family": "weird", "p": 2.0}}, "gauge_a"),
+    "thm42_gauge_b_power_below_1": (
+        {"inequality_id": "thm42", "gauge_b": {"family": "power", "p": 0.5}}, "gauge_b"),
+    "unknown_family_kind": ({"inequality_id": "eq12", "family": {"kind": "weird"}}, "family"),
+    "unknown_suite_kind": (
+        {"inequality_id": "eq12", "suite": {"kind": "weird", "count": 2}}, "suite"),
+    "thm52_morrey_phi_positive_sigma": (
+        {"inequality_id": "thm52", "gamma": 0.25,
+         "morrey_phi": {"family": "power_law", "sigma": 0.5}}, "morrey_phi"),
+    "thm22_nonconvex_power_log": (
+        {"inequality_id": "thm22", "gauge_a": {"family": "power_log", "p": 1.0, "a": -0.5}},
+        "gauge_a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DESCRIPTORS))
+def test_run_rejects_bad_descriptor(name, tmp_path, capsys):
+    data, field = BAD_DESCRIPTORS[name]
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(dict(data, grid_sizes=[16, 32])))
+    assert run_cli("run", "--config", str(cfg_path)) == 2
+    err = capsys.readouterr().err
+    assert "config rejected" in err and field in err
 
 
 def test_threads_override(tmp_path):

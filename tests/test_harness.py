@@ -7,7 +7,8 @@ from hartool import Cube, Grid, RieszKernel, SampledFunction, apply_kernel, inte
 from hartool.harness import (ConfigError, ExperimentConfig, default_config,
                              generate_suite, median_decay_check,
                              reevaluate_witness, refinement_study, run_inequality)
-from hartool.harness.inequalities import RatioCollector, witness_diagnostics
+from hartool.harness.config import INEQUALITY_CATALOG, SHARED_FIELDS
+from hartool.harness.inequalities import _RUNNERS, RatioCollector, witness_diagnostics
 from hartool.harness.report import sanitize
 from hartool.harness.suite import draw_suite_params
 
@@ -111,6 +112,64 @@ def test_collector_excludes_near_zero_rhs():
     col.add_array(np.array([1.0, 1.0]), np.array([1.0, 1e-20]), {"function": 0})
     res = col.finalize()
     assert res["excluded"] == 1 and res["c_emp"] == pytest.approx(1.0)
+
+
+def test_collector_array_non_finite_entry_is_a_failure_with_point():
+    col = RatioCollector()
+    col.add_array(np.array([[1.0, 2.0], [math.nan, 1.0]]), np.ones((2, 2)), {"function": 0})
+    res = col.finalize()
+    assert sanitize(res["failures"]) == [{"reason": "non-finite value", "tag": {"function": 0},
+                                          "point": [1, 0], "lhs": "nan", "rhs": 1.0}]
+    assert res["c_emp"] == 2.0 and res["witness"]["point"] == [0, 1]
+
+
+@pytest.mark.parametrize("lhs, rhs", [(2.0, 1.0), (0.0, 0.0), (1.0, 0.0), (1.0, 1e-20),
+                                      (math.nan, 1.0), (1.0, math.inf)])
+def test_collector_scalar_pair_reduces_like_one_element_array(lhs, rhs):
+    results = []
+    for add in ("add_scalar", "add_array"):
+        col = RatioCollector()
+        col.add_scalar(3.0, 1.0, {"function": 0})  # sets the scale: 1e-20 is excluded
+        value = (lhs, rhs) if add == "add_scalar" else (np.array([lhs]), np.array([rhs]))
+        getattr(col, add)(*value, {"function": 1})
+        results.append(col.finalize())
+    scalar, array = results
+    for key in ("c_emp", "excluded", "skipped"):
+        assert scalar[key] == array[key]
+    assert scalar["witness"] == array["witness"]
+    for fs, fa in zip(scalar["failures"], array["failures"], strict=True):
+        assert "point" not in fs and fa.pop("point") == [0]
+        assert sanitize(fs) == sanitize(fa)
+
+
+# ----------------------------------------------------------------- declared params
+
+class _RecordingConfig(ExperimentConfig):
+    """Records which config fields are read once `reads` is set."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("reads")
+        if reads is not None and name in ExperimentConfig.__dataclass_fields__:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+# the default config of each id, plus configs that reach conditional reads
+DECLARATION_VARIANTS = {"lem41": [{"lambda_source": "hormander"}],
+                        "thm42": [{"weight_pair": {"mode": "maximal"}}]}
+
+
+@pytest.mark.parametrize("ineq", sorted(INEQUALITY_CATALOG))
+def test_runner_reads_exactly_its_declared_params(ineq):
+    reads = set()
+    for overrides in [{}] + DECLARATION_VARIANTS.get(ineq, []):
+        cfg = default_config(ineq, grid_sizes=(16,), suite={"kind": "mixed", "count": 2},
+                             weight_suite={"kind": "mixed_weights", "count": 2}, **overrides)
+        rec = _RecordingConfig(**{f: getattr(cfg, f) for f in ExperimentConfig.__dataclass_fields__})
+        rec.reads = set()
+        _RUNNERS[ineq](rec, 16)
+        reads |= rec.reads
+    assert reads - set(SHARED_FIELDS) == set(INEQUALITY_CATALOG[ineq]["params"])
 
 
 # ----------------------------------------------------------------- gates
