@@ -1,11 +1,13 @@
 """Command-line interface.
 
-    hartool run --config cfg.json --out report.json [--witnesses] [--csv DIR] [--threads N]
+    hartool run --config cfg.json --out report.json [--witnesses] [--csv DIR]
     hartool list
     hartool oracle NAME [--seed S]
 
 `run` executes one inequality config and writes the canonical JSON report;
-the exit code is 0 iff every verdict passes and 2 for a rejected config.
+the exit code is 0 iff every verdict passes and 2 for a config that
+`ExperimentConfig.validate` rejects, with the reason on stderr.  Runs are
+serial; the config's `threads` field changes nothing.
 `list` prints the inequality catalog with the config fields each id reads.
 `oracle` runs a named brute-force oracle suite and prints one pass/fail
 line per case.
@@ -56,9 +58,6 @@ def _cmd_run(args) -> int:
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"config rejected: {exc}", file=sys.stderr)
         return 2
-    if args.threads is not None:
-        cfg.threads = args.threads
-        cfg.validate()
     sink = _csv_sink_factory(Path(args.csv)) if args.csv else None
     report = run_inequality(cfg, csv_sink=sink)
     payload = report.to_json_dict()
@@ -118,8 +117,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--witnesses", action="store_true",
                        help="include per-cube witness diagnostics")
     p_run.add_argument("--csv", help="directory for per-point LHS/RHS CSV dumps")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="accepted and ignored: runs are serial (kept for compatibility)")
     p_run.set_defaults(func=_cmd_run)
 
     p_list = sub.add_parser("list", help="list inequality ids and their parameters")

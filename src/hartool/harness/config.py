@@ -9,6 +9,7 @@ hypothesis named in the error message.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -33,6 +34,9 @@ class ConfigError(ValueError):
 DENSE_KERNEL_BUDGET_BYTES = 512 * 2**20
 
 
+# The fields JSON holds as lists and a config as tuples.
+TUPLE_FIELDS = ("grid_sizes", "origin", "t_scan", "operators")
+
 # The fields every run reads: the grids, the seed, the suite and the cube family.
 SHARED_FIELDS = ("inequality_id", "dim", "grid_sizes", "side_length", "origin", "seed",
                  "stability_factor", "threads", "family", "suite")
@@ -41,6 +45,8 @@ SHARED_FIELDS = ("inequality_id", "dim", "grid_sizes", "side_length", "origin", 
 # one declaration of an id's inputs: whether a run builds the kernel and the
 # weight suite, and which hypotheses validate() checks, follow from it.
 # "conjugated" names the gauge fields whose conjugate the runner evaluates.
+# "defaults" holds the values of the id's desk-scale config that differ from
+# the dataclass defaults; default_config() applies them and nothing else.
 INEQUALITY_CATALOG: dict[str, dict] = {
     "eq12": {
         "summary": "pointwise domination of the fractional maximal function by "
@@ -51,39 +57,49 @@ INEQUALITY_CATALOG: dict[str, dict] = {
         "summary": "local sharp maximal of the kernel transform bounded by the "
                    "order-r fractional maximal function",
         "params": ["gamma", "r", "s", "kernel"],
+        "defaults": {"grid_sizes": (128, 256)},
     },
     "thm22": {
         "summary": "local sharp maximal of the transform bounded via the "
                    "conjugate-gauge fractional maximal function",
         "params": ["gamma", "s", "kernel", "gauge_a"],
         "conjugated": ["gauge_a"],
+        "defaults": {"family": {"kind": "dyadic"}, "gauge_a": {"family": "power", "p": 2.0},
+                     "suite": {"kind": "mixed", "count": 6}},
     },
     "thm23": {
         "summary": "local sharp maximal bound for products of "
                    "invertible-coefficient power kernels",
         "params": ["gamma", "s", "kernel"],
+        "defaults": {"grid_sizes": (128, 256), "suite": {"kind": "compact", "count": 6}},
     },
     "thm31": {
         "summary": "weighted local mean of Phi(|Tf - median|) bounded by the "
                    "weighted mean of Phi of the fractional maximal function",
         "params": ["gamma", "r", "kernel", "gauge_phi", "weight_pair", "weight_order", "t_scan",
                    "weight_suite"],
+        "defaults": {"grid_sizes": (128, 256), "suite": {"kind": "mixed", "count": 10},
+                     "weight_suite": {"kind": "mixed_weights", "count": 10}},
     },
     "eq33": {
         "summary": "global weighted Phi-integral of |Tf| bounded when the "
                    "medians of Tf decay on growing cubes",
         "params": ["gamma", "r", "kernel", "gauge_phi", "weight_pair", "weight_order", "t_scan",
                    "weight_suite"],
+        "defaults": {"suite": {"kind": "compact", "count": 6}},
     },
     "lem41": {
         "summary": "sharp median of Tf on random cubes bounded by the "
                    "lambda-weighted dilate sums of f",
         "params": ["gamma", "r", "s", "kernel", "lambda_source", "omega", "gauge_a", "c_n",
                    "cube_samples"],
+        "defaults": {"suite": {"kind": "compact", "count": 5}},
     },
     "eq45_check": {
         "summary": "finiteness and refinement stability of the two-weight bump product",
         "params": ["gamma", "r", "p", "q", "gauge_a", "gauge_b", "weight_suite"],
+        "defaults": {"grid_sizes": (32, 64), "gauge_a": {"family": "power", "p": 5.0},
+                     "gauge_b": {"family": "power", "p": 3.0}},
     },
     "thm42": {
         "summary": "two-weight strong bound: weighted q-norm of Tf by the "
@@ -91,24 +107,37 @@ INEQUALITY_CATALOG: dict[str, dict] = {
         "params": ["gamma", "r", "p", "q", "alpha1", "alpha2", "kernel", "gauge_a", "gauge_b",
                    "omega", "c_n", "weight_pair", "weight_order", "t_scan", "weight_suite"],
         "conjugated": ["gauge_a", "gauge_b"],
+        "defaults": {"gamma": 0.2, "gauge_a": {"family": "power", "p": 5.0},
+                     "gauge_b": {"family": "power", "p": 3.0},
+                     "suite": {"kind": "compact", "count": 6}, "weight_pair": {"mode": "unit"}},
     },
     "prop51": {
         "summary": "localization gap for the fractional maximal operator on sampled cubes",
         "params": ["gamma", "p", "c_n", "d_n", "cube_samples"],
+        "defaults": {"gamma": 0.25, "suite": {"kind": "mixed", "count": 6}, "cube_samples": 8},
     },
     "thm52": {
         "summary": "Morrey-to-Morrey boundedness of the fractional maximal operator",
         "params": ["gamma", "p", "morrey_phi", "morrey_psi"],
+        "defaults": {"grid_sizes": (128, 256), "gamma": 0.25,
+                     "morrey_phi": {"family": "power_law", "sigma": -0.4},
+                     "morrey_psi": {"family": "power_law", "sigma": -0.15}},
     },
     "thm53": {
         "summary": "Morrey boundedness of sublinear operators dominated by the "
                    "fractional kernel",
         "params": ["gamma", "p", "morrey_phi", "morrey_psi", "operators", "kernel"],
+        "defaults": {"grid_sizes": (32, 64), "gamma": 0.25,
+                     "morrey_phi": {"family": "power_law", "sigma": -0.4},
+                     "morrey_psi": {"family": "power_law", "sigma": -0.15},
+                     "suite": {"kind": "mixed", "count": 6}},
     },
     "eq19": {
         "summary": "Campanato seminorm of Tf bounded by the Morrey norm of the "
                    "fractional maximal function",
         "params": ["gamma", "q", "kernel", "morrey_psi"],
+        "defaults": {"gamma": 0.25, "q": 2.0, "morrey_psi": {"family": "power_law", "sigma": -0.15},
+                     "suite": {"kind": "compact", "count": 6}},
     },
 }
 
@@ -122,15 +151,15 @@ class ExperimentConfig:
     origin: tuple[float, ...] | None = None
     seed: int = 7
     stability_factor: float = 2.0
-    threads: int = 1  # accepted and validated; runs are serial
+    threads: int = 1  # validated (>= 1) and read by no runner: runs are serial
 
     gamma: float = 0.5
     r: float = 1.0
     s: float = 0.5
     p: float = 2.0
     q: float = 4.0
-    beta: float = 1.0
-    alpha: float | None = None
+    beta: float = 1.0  # read by no inequality; validate() admits only null or 1.0
+    alpha: float | None = None  # likewise
     alpha1: float | None = None
     alpha2: float | None = None
     weight_order: float = 1.0
@@ -164,8 +193,8 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         kwargs = dict(data)
-        for key in ("grid_sizes", "origin", "t_scan", "operators"):
-            if key in kwargs and kwargs[key] is not None:
+        for key in TUPLE_FIELDS:
+            if kwargs.get(key) is not None:
                 kwargs[key] = tuple(kwargs[key])
         cfg = cls(**kwargs)
         cfg.validate()
@@ -173,7 +202,7 @@ class ExperimentConfig:
 
     def to_json_dict(self) -> dict:
         out = asdict(self)
-        for key in ("grid_sizes", "origin", "t_scan", "operators"):
+        for key in TUPLE_FIELDS:
             if out[key] is not None:
                 out[key] = list(out[key])
         return out
@@ -244,6 +273,12 @@ class ExperimentConfig:
         """(p, q) with 1/q = 1/p - gamma for the matched power gauges."""
         q = 1.0 / (1.0 / self.p - self.gamma)
         return self.p, q
+
+    @property
+    def weight_pair_mode(self) -> str:
+        """How v is formed from w: the maximal function of order
+        `weight_order` (the default), w itself, or 1."""
+        return self.weight_pair.get("mode", "maximal")
 
     def resolved_alphas(self) -> tuple[float, float, float]:
         alpha = 1.0 / self.p - 1.0 / self.q
@@ -316,7 +351,10 @@ class ExperimentConfig:
                                   "gamma < 1/p (so that 1/q = 1/p - gamma is positive)")
         if self.inequality_id == "eq19" and not self.q > 1:
             raise ConfigError("hypothesis violated: eq19 needs a gauge exponent q > 1")
-        mode = self.weight_pair.get("mode", "maximal")
+        if not isinstance(self.weight_pair, dict):
+            raise ConfigError("bad descriptor weight_pair: it must be an object such as "
+                              f'{{"mode": "maximal"}}, got {self.weight_pair!r}')
+        mode = self.weight_pair_mode
         if mode == "condition_f":
             raise ConfigError("weight_pair mode condition_f requires explicit weight pairs; "
                               "use mode maximal, same, or unit here")
@@ -339,6 +377,7 @@ class ExperimentConfig:
                      for g in INEQUALITY_CATALOG[self.inequality_id].get("conjugated", ())]
         if builds_kernel:
             builders.append(("kernel", self.resolved_kernel))
+        builders.append(("weight_order", lambda: LinearGauge(self.weight_order)))
         for name, build in builders:
             try:
                 build()
@@ -347,6 +386,16 @@ class ExperimentConfig:
         if self.inequality_id == "thm23":
             if self.resolved_kernel().to_json().get("variant") != "homogeneous":
                 raise ConfigError("hypothesis violated: thm23 requires a homogeneous kernel")
+        # inputs that change no report; checked last, so that a config with
+        # another fault keeps that fault's message
+        unknown = sorted(set(self.weight_pair) - {"mode"})
+        if unknown:
+            raise ConfigError(f"bad descriptor weight_pair: unknown keys {unknown}; it takes "
+                              "only mode (the maximal pair's order is weight_order)")
+        for name in ("alpha", "beta"):
+            if getattr(self, name) not in (None, 1.0):
+                raise ConfigError(f"bad field {name}: no inequality reads alpha or beta; "
+                                  "leave it null or 1.0")
 
     def builds_kernel(self) -> bool:
         """True when a run applies the kernel: the id reads `kernel` and, for an
@@ -356,56 +405,9 @@ class ExperimentConfig:
 
 
 def default_config(inequality_id: str, **overrides) -> ExperimentConfig:
-    """A runnable config for the given inequality with desk-scale defaults."""
-    base: dict = {"inequality_id": inequality_id}
-    if inequality_id == "eq12":
-        base.update(grid_sizes=(64, 128), suite={"kind": "mixed", "count": 8})
-    elif inequality_id == "thm21":
-        base.update(grid_sizes=(128, 256), suite={"kind": "mixed", "count": 8})
-    elif inequality_id == "thm22":
-        base.update(grid_sizes=(64, 128), family={"kind": "dyadic"},
-                    gauge_a={"family": "power", "p": 2.0},
-                    suite={"kind": "mixed", "count": 6})
-    elif inequality_id == "thm23":
-        base.update(grid_sizes=(128, 256), suite={"kind": "compact", "count": 6})
-    elif inequality_id == "thm31":
-        base.update(grid_sizes=(128, 256), suite={"kind": "mixed", "count": 10},
-                    weight_suite={"kind": "mixed_weights", "count": 10})
-    elif inequality_id == "eq33":
-        base.update(grid_sizes=(64, 128), suite={"kind": "compact", "count": 6},
-                    weight_suite={"kind": "mixed_weights", "count": 4})
-    elif inequality_id == "lem41":
-        base.update(grid_sizes=(64, 128), suite={"kind": "compact", "count": 5},
-                    cube_samples=20)
-    elif inequality_id == "eq45_check":
-        base.update(grid_sizes=(32, 64), p=2.0, q=4.0,
-                    gauge_a={"family": "power", "p": 5.0},
-                    gauge_b={"family": "power", "p": 3.0},
-                    weight_suite={"kind": "mixed_weights", "count": 4})
-    elif inequality_id == "thm42":
-        base.update(grid_sizes=(64, 128), gamma=0.2, p=2.0, q=4.0,
-                    gauge_a={"family": "power", "p": 5.0},
-                    gauge_b={"family": "power", "p": 3.0},
-                    suite={"kind": "compact", "count": 6},
-                    weight_pair={"mode": "unit"})
-    elif inequality_id == "prop51":
-        base.update(grid_sizes=(64, 128), gamma=0.25, p=2.0,
-                    suite={"kind": "mixed", "count": 6}, cube_samples=8)
-    elif inequality_id == "thm52":
-        base.update(grid_sizes=(128, 256), gamma=0.25, p=2.0,
-                    morrey_phi={"family": "power_law", "sigma": -0.4},
-                    morrey_psi={"family": "power_law", "sigma": -0.15},
-                    suite={"kind": "mixed", "count": 8})
-    elif inequality_id == "thm53":
-        base.update(grid_sizes=(32, 64), gamma=0.25, p=2.0,
-                    morrey_phi={"family": "power_law", "sigma": -0.4},
-                    morrey_psi={"family": "power_law", "sigma": -0.15},
-                    suite={"kind": "mixed", "count": 6})
-    elif inequality_id == "eq19":
-        base.update(grid_sizes=(64, 128), gamma=0.25, q=2.0,
-                    morrey_psi={"family": "power_law", "sigma": -0.15},
-                    suite={"kind": "compact", "count": 6})
-    base.update(overrides)
-    cfg = ExperimentConfig(**base)
+    """A runnable config for the given inequality with its catalog defaults."""
+    defaults = INEQUALITY_CATALOG.get(inequality_id, {}).get("defaults", {})
+    cfg = ExperimentConfig(**{"inequality_id": inequality_id, **copy.deepcopy(defaults),
+                              **overrides})
     cfg.validate()
     return cfg

@@ -262,15 +262,12 @@ def _grid_thm23(cfg, n):
 
 
 def _resolve_pair_weight(cfg, ctx, w: SampledFunction) -> SampledFunction:
-    mode = cfg.weight_pair.get("mode", "maximal")
+    mode = cfg.weight_pair_mode
     if mode == "maximal":
-        order = float(cfg.weight_pair.get("order", cfg.weight_order))
-        return fractional_maximal(w, 0.0, LinearGauge(order), ctx.family)
+        return fractional_maximal(w, 0.0, LinearGauge(float(cfg.weight_order)), ctx.family)
     if mode == "same":
         return w
-    if mode == "unit":
-        return SampledFunction.constant(ctx.grid, 1.0, "unit")
-    raise ConfigError(f"unknown weight_pair mode {mode!r}")  # validate() rejects it first
+    return SampledFunction.constant(ctx.grid, 1.0, "unit")
 
 
 def _grid_thm31(cfg, n):
@@ -403,8 +400,7 @@ def _grid_thm42(cfg, n):
     lam = omega_lambda(omega, M, cfg.resolved_c_n())
     terms = np.array(lam.values) * 2.0 ** (np.arange(1, M + 1) * cfg.dim / cfg.q)
     lam_tail_divergent = bool(_classify_decay(terms))
-    mode = cfg.weight_pair.get("mode", "unit")
-    if mode == "unit":
+    if cfg.weight_pair_mode == "unit":
         pairs = [(SampledFunction.constant(ctx.grid, 1.0, "unit"),
                   SampledFunction.constant(ctx.grid, 1.0, "unit"))]
     else:

@@ -82,8 +82,8 @@ def test_run_rejects_dense_kernel_over_budget(tmp_path, capsys):
 
 
 # Each descriptor below fails to construct (or, for the power_log base, is
-# not convex, so its conjugate does not exist); the run must stop at
-# validation with exit 2 and name the field.
+# not convex, so its conjugate does not exist; or it sets an input that no
+# runner reads); the run must stop at validation with exit 2 and name the field.
 BAD_DESCRIPTORS = {
     "thm22_gauge_a_power_below_1": (
         {"inequality_id": "thm22", "gauge_a": {"family": "power", "p": 0.5}}, "gauge_a"),
@@ -103,6 +103,14 @@ BAD_DESCRIPTORS = {
     "thm22_nonconvex_power_log": (
         {"inequality_id": "thm22", "gauge_a": {"family": "power_log", "p": 1.0, "a": -0.5}},
         "gauge_a"),
+    "weight_pair_not_an_object": (
+        {"inequality_id": "thm31", "weight_pair": "unit"}, "weight_pair"),
+    "weight_order_below_1": ({"inequality_id": "thm31", "weight_order": 0.5}, "weight_order"),
+    "weight_pair_order_key": (
+        {"inequality_id": "thm31", "weight_pair": {"mode": "maximal", "order": 2}},
+        "weight_pair"),
+    "alpha_set": ({"inequality_id": "thm42", "alpha": 0.3}, "alpha"),
+    "beta_set": ({"inequality_id": "eq33", "beta": 7}, "beta"),
 }
 
 
@@ -114,13 +122,6 @@ def test_run_rejects_bad_descriptor(name, tmp_path, capsys):
     assert run_cli("run", "--config", str(cfg_path)) == 2
     err = capsys.readouterr().err
     assert "config rejected" in err and field in err
-
-
-def test_threads_override(tmp_path):
-    cfg = default_config("eq12", grid_sizes=(16,), suite={"kind": "mixed", "count": 2})
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg.to_json_dict()))
-    assert run_cli("run", "--config", str(cfg_path), "--threads", "2") == 0
 
 
 def test_oracle_command(capsys):

@@ -7,6 +7,7 @@ from hartool import Cube, Grid, RieszKernel, SampledFunction, apply_kernel, inte
 from hartool.harness import (ConfigError, ExperimentConfig, default_config,
                              generate_suite, median_decay_check,
                              reevaluate_witness, refinement_study, run_inequality)
+from hartool.harness import oracles
 from hartool.harness.config import INEQUALITY_CATALOG, SHARED_FIELDS
 from hartool.harness.inequalities import _RUNNERS, RatioCollector, witness_diagnostics
 from hartool.harness.report import sanitize
@@ -142,6 +143,27 @@ def test_collector_scalar_pair_reduces_like_one_element_array(lhs, rhs):
         assert sanitize(fs) == sanitize(fa)
 
 
+# ----------------------------------------------------------------- oracles
+
+def test_oracle_case_fails_on_one_inf_reading(monkeypatch):
+    # an inf among finite readings must fail its case, not vanish in a max
+    true_conjugate = oracles.conjugate
+
+    def one_inf(gauge, s):
+        got = true_conjugate(gauge, s)
+        if np.ndim(got) == 0:
+            return got
+        got = np.array(got, dtype=float)
+        got[7] = math.inf
+        return got
+
+    monkeypatch.setattr(oracles, "conjugate", one_inf)
+    verdicts = {case.name: case.passed for case in oracles.run_oracle("conjugate")}
+    tables = [name for name in verdicts if name.startswith("conjugate/table-")]
+    assert len(tables) == 4 and not any(verdicts[name] for name in tables)
+    assert all(verdicts[name] for name in verdicts if name.startswith("conjugate/power-"))
+
+
 # ----------------------------------------------------------------- declared params
 
 class _RecordingConfig(ExperimentConfig):
@@ -270,6 +292,16 @@ def test_thm42_metadata_hypotheses():
     assert all(not m["divergent"] for m in extra["bump_memberships"].values())
     assert not extra["lambda_tail_divergent"]
     assert rep.passed
+
+
+def test_thm42_empty_weight_pair_is_the_maximal_pair():
+    # one default mode for every id: thm42 runs v = M w on an empty weight_pair
+    kw = dict(grid_sizes=(16,), suite={"kind": "compact", "count": 2})
+    grids = {mode: run_inequality(default_config("thm42", weight_pair=pair, **kw)).grids[0]
+             for mode, pair in (("empty", {}), ("maximal", {"mode": "maximal"}),
+                                ("unit", {"mode": "unit"}))}
+    assert grids["empty"].to_json_dict() == grids["maximal"].to_json_dict()
+    assert grids["unit"].c_emp != grids["maximal"].c_emp
 
 
 def test_thm53_per_operator_constants():
