@@ -7,7 +7,7 @@ the lattice of corners of the size-m family cubes inside a base cube Q0
 (the whole grid by default).  The "all" family takes every corner (start 0,
 stride 1); the dyadic family takes the corners on the global m-lattice
 (start (-corner0) % m, stride m).  A Sweep computes corner-indexed
-statistics on that lattice -- window sums, window rows, window mins -- and
+statistics on that lattice -- window sums and window rows -- and
 `containing_max` turns the statistics of all sizes into the point-indexed
 max over the family cubes containing each point.  `norms_by_size` adds one
 Luxemburg norm per cube.
@@ -36,7 +36,6 @@ __all__ = [
     "norms_by_size",
     "window_sums",
     "window_matrix",
-    "window_min",
     "containing_max",
 ]
 
@@ -45,11 +44,6 @@ __all__ = [
 
 def _lattice(start: tuple[int, ...], stride: int) -> tuple[slice, ...]:
     return tuple(slice(s, None, stride) for s in start)
-
-
-def _window_view(values: np.ndarray, m: int, start: tuple[int, ...], stride: int) -> np.ndarray:
-    """Strided view of the m-windows at the corner lattice: (corners..., m...)."""
-    return sliding_window_view(values, (m,) * values.ndim)[_lattice(start, stride)]
 
 
 def window_sums(values: np.ndarray, m: int, start: tuple[int, ...], stride: int) -> np.ndarray:
@@ -72,13 +66,8 @@ def window_sums(values: np.ndarray, m: int, start: tuple[int, ...], stride: int)
 
 def window_matrix(values: np.ndarray, m: int, start: tuple[int, ...], stride: int) -> np.ndarray:
     """The m-windows at the corner lattice flattened to rows: (ncorners, m^dim)."""
-    return _window_view(values, m, start, stride).reshape(-1, m**values.ndim)
-
-
-def window_min(values: np.ndarray, m: int, start: tuple[int, ...], stride: int) -> np.ndarray:
-    """Minimum over each m-window at the corner lattice."""
-    dim = values.ndim
-    return _window_view(values, m, start, stride).min(axis=tuple(range(dim, 2 * dim)))
+    view = sliding_window_view(values, (m,) * values.ndim)[_lattice(start, stride)]
+    return view.reshape(-1, m**values.ndim)
 
 
 @dataclass(frozen=True)
@@ -101,9 +90,6 @@ class Sweep:
 
     def rows(self, values: np.ndarray) -> np.ndarray:
         return window_matrix(values, self.m, self.start, self.stride)
-
-    def mins(self, values: np.ndarray) -> np.ndarray:
-        return window_min(values, self.m, self.start, self.stride)
 
 
 def cube_sweep(family: CubeFamily, Q0: Cube | None = None) -> Iterator[Sweep]:

@@ -273,7 +273,10 @@ class CubeFamily:
 
     @classmethod
     def from_json(cls, grid: Grid, data: dict) -> "CubeFamily":
-        return cls(grid, kind=data.get("kind", "all"), max_side=data.get("max_side"))
+        max_side = data.get("max_side")
+        if max_side is not None and (type(max_side) is not int or max_side < 1):
+            raise ValueError(f"max_side must be null or an integer >= 1, got {max_side!r}")
+        return cls(grid, kind=data.get("kind", "all"), max_side=max_side)
 
 
 def enumerate_cubes(family: CubeFamily, containing: Sequence[int] | None = None) -> list[Cube]:

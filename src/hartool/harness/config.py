@@ -15,7 +15,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
-from ..gauges import (ConjugateGauge, LinearGauge, PowerGauge, YoungFunction, modulus_from_json,
+from ..gauges import (ConjugateGauge, LinearGauge, YoungFunction, modulus_from_json,
                       morrey_weight_from_json, young_from_json)
 from ..geometry import CubeFamily, Grid
 from ..operators import KernelSpec, kernel_from_json
@@ -141,6 +141,10 @@ INEQUALITY_CATALOG: dict[str, dict] = {
     },
 }
 
+# The gauge a null gauge field stands for where the id's "defaults" set none.
+NULL_GAUGES = {"gauge_a": {"family": "power", "p": 2.0}, "gauge_b": {"family": "power", "p": 3.0},
+               "gauge_phi": {"family": "linear", "r": 1.0}}
+
 
 @dataclass
 class ExperimentConfig:
@@ -244,16 +248,12 @@ class ExperimentConfig:
         return kernel_from_json({"variant": "riesz", "dim": self.dim, "gamma": self.gamma})
 
     def resolved_gauge(self, slot: str) -> YoungFunction:
+        """The slot's gauge; a null slot takes the id's catalog default, else NULL_GAUGES."""
         data = getattr(self, slot)
-        if data is not None:
-            return young_from_json(data)
-        if slot == "gauge_phi":
-            return LinearGauge(1.0)
-        if slot == "gauge_a":
-            return PowerGauge(5.0) if self.inequality_id in ("thm42", "eq45_check") else PowerGauge(2.0)
-        if slot == "gauge_b":
-            return PowerGauge(3.0)
-        raise KeyError(slot)
+        if data is None:
+            defaults = INEQUALITY_CATALOG[self.inequality_id].get("defaults", {})
+            data = defaults.get(slot, NULL_GAUGES[slot])
+        return young_from_json(data)
 
     def resolved_omega(self):
         if self.omega is not None:
@@ -396,6 +396,14 @@ class ExperimentConfig:
             if getattr(self, name) not in (None, 1.0):
                 raise ConfigError(f"bad field {name}: no inequality reads alpha or beta; "
                                   "leave it null or 1.0")
+        params = INEQUALITY_CATALOG[self.inequality_id]["params"]
+        if "cube_samples" in params and (type(self.cube_samples) is not int
+                                         or self.cube_samples < 1):
+            raise ConfigError("bad field cube_samples: it must be an integer >= 1 (with no "
+                              f"sampled cube the run checks nothing), got {self.cube_samples!r}")
+        for name in ("t_scan", "operators"):
+            if name in params and not getattr(self, name):
+                raise ConfigError(f"bad field {name}: an empty list checks nothing")
 
     def builds_kernel(self) -> bool:
         """True when a run applies the kernel: the id reads `kernel` and, for an

@@ -134,12 +134,25 @@ def sup_inf_over_cubes(g: SampledFunction, family: CubeFamily,
     """sup over family cubes Q (x in Q, Q inside Q0) of inf over Q of g.
 
     Realizes the localized right-hand sides of the pointwise bounds; with
-    no Q0 the sup runs over all family cubes of the grid."""
+    no Q0 the sup runs over all family cubes of the grid.
+
+    The sup is g(x) itself.  Every nonempty family holds the side-1 cubes,
+    and these tile Q0 on both lattices, so the cell {x} is one of the cubes;
+    it gives inf = g(x), and every other cube Q containing x gives
+    inf_Q g <= g(x).  An empty family (max_side 0) covers no point, so every
+    cell reads absent (NaN), as do the cells outside Q0.
+
+    Nothing is lost against the cube-wise form of the local bounds: when
+    h(x) is the sup of a_Q >= 0 over the family cubes Q containing x (a
+    local sharp maximal function) and g > 0, the max over x of h(x) / g(x)
+    equals the max over family cubes Q of a_Q / min_{x in Q} g(x).
+    For finite g this equals the window-minimum sweep exactly; a NaN cell
+    of a masked g stays at that cell instead of spreading to its cubes."""
     grid = g.grid
     if Q0 is None:
         Q0 = Cube(grid, (0,) * grid.dim, grid.cells_per_side)
     sub = g.values[Q0.slices]
-    best = containing_max(sub.shape, ((sweep, sweep.mins(sub)) for sweep in cube_sweep(family, Q0)))
+    best = sub if family.sizes(cap=Q0.side_cells) else np.full(sub.shape, -np.inf)
     return _masked_points(grid, Q0, best, f"supinf[{g.name}]")
 
 

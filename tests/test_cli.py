@@ -83,7 +83,8 @@ def test_run_rejects_dense_kernel_over_budget(tmp_path, capsys):
 
 # Each descriptor below fails to construct (or, for the power_log base, is
 # not convex, so its conjugate does not exist; or it sets an input that no
-# runner reads); the run must stop at validation with exit 2 and name the field.
+# runner reads; or it leaves the run nothing to check); the run must stop at
+# validation with exit 2 and name the field.
 BAD_DESCRIPTORS = {
     "thm22_gauge_a_power_below_1": (
         {"inequality_id": "thm22", "gauge_a": {"family": "power", "p": 0.5}}, "gauge_a"),
@@ -111,6 +112,28 @@ BAD_DESCRIPTORS = {
         "weight_pair"),
     "alpha_set": ({"inequality_id": "thm42", "alpha": 0.3}, "alpha"),
     "beta_set": ({"inequality_id": "eq33", "beta": 7}, "beta"),
+    # configs that would check nothing: a family without side-1 cubes, an
+    # empty suite, no sampled cube, no median level, no operator
+    "family_max_side_fractional": (
+        {"inequality_id": "thm21", "family": {"kind": "all", "max_side": 2.5}}, "max_side"),
+    "family_max_side_zero": (
+        {"inequality_id": "thm22", "family": {"kind": "dyadic", "max_side": 0}}, "max_side"),
+    "suite_count_zero": (
+        {"inequality_id": "eq12", "suite": {"kind": "mixed", "count": 0}}, "suite"),
+    "thm31_weight_suite_count_zero": (
+        {"inequality_id": "thm31", "weight_suite": {"kind": "mixed_weights", "count": 0}},
+        "weight_suite"),
+    "lem41_cube_samples_zero": ({"inequality_id": "lem41", "cube_samples": 0}, "cube_samples"),
+    "lem41_hormander_cube_samples_zero": (
+        {"inequality_id": "lem41", "lambda_source": "hormander", "cube_samples": 0},
+        "cube_samples"),
+    "prop51_cube_samples_fractional": (
+        {"inequality_id": "prop51", "gamma": 0.25, "cube_samples": 2.5}, "cube_samples"),
+    "prop51_cube_samples_zero": (
+        {"inequality_id": "prop51", "gamma": 0.25, "cube_samples": 0}, "cube_samples"),
+    "thm53_no_operators": ({"inequality_id": "thm53", "gamma": 0.25, "operators": []}, "operators"),
+    "thm31_empty_t_scan": ({"inequality_id": "thm31", "t_scan": []}, "t_scan"),
+    "eq33_empty_t_scan": ({"inequality_id": "eq33", "t_scan": []}, "t_scan"),
 }
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hartool import Cube, Grid, RieszKernel, SampledFunction, apply_kernel, integrate
+from hartool import (Cube, Grid, LinearGauge, PowerGauge, RieszKernel, SampledFunction,
+                     apply_kernel, integrate)
 from hartool.harness import (ConfigError, ExperimentConfig, default_config,
                              generate_suite, median_decay_check,
                              reevaluate_witness, refinement_study, run_inequality)
@@ -39,6 +40,16 @@ def test_config_named_hypothesis_messages():
     for ineq in ("thm31", "eq33", "thm42"):
         with pytest.raises(ConfigError, match="condition_f requires explicit weight pairs"):
             default_config(ineq, weight_pair={"mode": "condition_f"})
+
+
+@pytest.mark.parametrize("ineq", sorted(INEQUALITY_CATALOG))
+def test_null_gauge_is_the_default_gauge(ineq):
+    # a null gauge field takes the id's catalog default, else t^2, t^3 and the plain mean
+    expected = {"gauge_a": PowerGauge(5.0 if ineq in ("thm42", "eq45_check") else 2.0),
+                "gauge_b": PowerGauge(3.0), "gauge_phi": LinearGauge(1.0)}
+    for slot, gauge in expected.items():
+        assert default_config(ineq, **{slot: None}).resolved_gauge(slot) == gauge
+        assert default_config(ineq).resolved_gauge(slot) == gauge
 
 
 def test_config_round_trip():

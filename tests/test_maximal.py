@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hartool import (Cube, CubeFamily, Grid, LinearGauge, PowerGauge,
                      SampledFunction, fractional_maximal,
@@ -185,9 +187,33 @@ def test_sup_inf_bounded_by_pointwise():
     f = SampledFunction(g, rng.uniform(0.5, 2.0, 32))
     fam = CubeFamily(g, "all")
     si = sup_inf_over_cubes(f, fam).values
-    assert np.all(si <= f.values + 1e-15)
+    np.testing.assert_array_equal(si, f.values)  # the side-1 cube {x} attains the sup
     const = SampledFunction.constant(g, 3.0)
     np.testing.assert_allclose(sup_inf_over_cubes(const, fam).values, 3.0)
+
+
+@given(dim=st.sampled_from((1, 2)), log_n=st.integers(1, 5),
+       kind=st.sampled_from(("all", "dyadic")), max_side=st.one_of(st.none(), st.integers(1, 6)),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_sup_inf_over_cubes_is_the_point_value(dim, log_n, kind, max_side, seed, data):
+    # capped families and base cubes off the dyadic lattice included
+    n = 2**log_n
+    g = Grid(dim, n)
+    f = SampledFunction(g, np.random.default_rng(seed).integers(-8, 8, g.shape) * 0.25)
+    side = data.draw(st.integers(1, n))
+    q0 = Cube(g, tuple(data.draw(st.integers(0, n - side)) for _ in range(dim)), side)
+    out = sup_inf_over_cubes(f, CubeFamily(g, kind, max_side=max_side), q0).values
+    inside = np.zeros(g.shape, dtype=bool)
+    inside[q0.slices] = True
+    np.testing.assert_array_equal(out[inside], f.values[inside])
+    assert np.all(np.isnan(out[~inside]))
+
+
+def test_sup_inf_over_cubes_empty_family_reads_absent():
+    for dim, kind in ((1, "all"), (2, "dyadic")):
+        g = Grid(dim, 8)
+        f = SampledFunction(g, np.arange(8.0**dim).reshape(g.shape))
+        assert np.all(np.isnan(sup_inf_over_cubes(f, CubeFamily(g, kind, max_side=0)).values))
 
 
 def test_lemma41_rhs_cases():

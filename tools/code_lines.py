@@ -1,0 +1,57 @@
+"""Count the code lines of the hartool package.
+
+A code line is a physical line of ``src/hartool/**/*.py`` that holds a
+token of code: blank lines, comment lines and the lines of docstrings
+(the leading string of a module, class or function) do not count.  This
+is the count CHANGES.md records:
+
+    python tools/code_lines.py
+
+``--src`` names another package source (default: this checkout's ``src``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import io
+import tokenize
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def _docstring_lines(tree: ast.AST) -> set[int]:
+    lines: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def code_lines(source: str) -> int:
+    """Physical lines holding a code token, docstrings excluded."""
+    skip = _docstring_lines(ast.parse(source))
+    lines: set[int] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(n for n in range(tok.start[0], tok.end[0] + 1) if n not in skip)
+    return len(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="directory holding the hartool package to count")
+    args = parser.parse_args(argv)
+    print(sum(code_lines(path.read_text()) for path in (Path(args.src) / "hartool").rglob("*.py")))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
