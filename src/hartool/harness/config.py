@@ -234,18 +234,29 @@ class ExperimentConfig:
         return self.d_n if self.d_n is not None else 2.0 * math.sqrt(self.dim)
 
     def resolved_kernel(self) -> KernelSpec:
+        """The run's kernel, whose values shared with the run come from the config.
+
+        The descriptor is `kernel`, else thm23's homogeneous pair, else the
+        Riesz kernel.  Its `dim` and `gamma` are the config's; a Dini kernel's
+        `omega` is `resolved_omega()`, the modulus lambda is built from, and its
+        `sphere.dim` defaults to `dim`.  A spelled key whose value differs from
+        the config's raises a ConfigError naming the key and both values."""
         if self.kernel is not None:
             data = dict(self.kernel)
-            data.setdefault("dim", self.dim)
-            return kernel_from_json(data)
-        if self.inequality_id == "thm23":
-            g = self.gamma
-            return kernel_from_json({
-                "variant": "homogeneous", "dim": self.dim, "gamma": g,
-                "coeffs": [1.0, -1.0] if self.dim == 1 else [[[1.0, 0.0], [0.0, 1.0]], [[-1.0, 0.0], [0.0, -1.0]]],
-                "exponents": [self.dim * (1 - g) / 2.0] * 2,
-            })
-        return kernel_from_json({"variant": "riesz", "dim": self.dim, "gamma": self.gamma})
+        elif self.inequality_id == "thm23":
+            data = {"variant": "homogeneous",
+                    "coeffs": [1.0, -1.0] if self.dim == 1 else [[[1.0, 0.0], [0.0, 1.0]], [[-1.0, 0.0], [0.0, -1.0]]],
+                    "exponents": [self.dim * (1 - self.gamma) / 2.0] * 2}
+        else:
+            data = {"variant": "riesz"}
+        shared = {"dim": self.dim, "gamma": self.gamma}
+        if data.get("variant") == "dini":
+            shared["omega"] = self.resolved_omega().to_json()
+            data["sphere"] = {"dim": self.dim, **data.get("sphere", {})}
+        for key, value in shared.items():
+            if data.setdefault(key, value) != value:
+                raise ConfigError(f"kernel {key} {data[key]!r} differs from the config's {value!r}")
+        return kernel_from_json(data)
 
     def resolved_gauge(self, slot: str) -> YoungFunction:
         """The slot's gauge; a null slot takes the id's catalog default, else NULL_GAUGES."""
@@ -297,8 +308,9 @@ class ExperimentConfig:
         if not self.grid_sizes:
             raise ConfigError("hypothesis violated: at least one grid size required")
         for n in self.grid_sizes:
-            if n < 2 or (n & (n - 1)):
-                raise ConfigError(f"hypothesis violated: grid sizes must be powers of 2, got {n}")
+            if type(n) is not int or n < 2 or (n & (n - 1)):
+                raise ConfigError(f"hypothesis violated: grid_sizes must be integer powers of 2, "
+                                  f"got {n!r}")
         if list(self.grid_sizes) != sorted(self.grid_sizes):
             raise ConfigError("hypothesis violated: grid sizes must be ascending")
         if not self.stability_factor >= 1.0:

@@ -38,7 +38,7 @@ from ..geometry import Cube, CubeFamily, SampledFunction
 from ..maximal import (_window_count, fractional_maximal, lemma41_rhs,
                        local_sharp_maximal, median, narrowest_windows, sharp_median,
                        sharp_median_plugin, sup_inf_over_cubes)
-from ..operators import apply_kernel, hormander_lambda, omega_lambda
+from ..operators import SINGULAR_CELL_POLICY, apply_kernel, hormander_lambda, omega_lambda
 from ..spaces import campanato_seminorm, compat_52, compat_53, morrey_norm, prop51_gap
 from ..weights import bump_condition
 from .config import INEQUALITY_CATALOG, ConfigError, ExperimentConfig
@@ -52,9 +52,6 @@ RATIO_FLOOR = 1e-14
 DECAY_LAST_DROP = 0.95    # largest-window median must sit below 95% of the
                           # previous one and of the peak: material decay
 MAX_REPORTED_FAILURES = 5
-
-SINGULAR_CELL_POLICY = ("1d: exact singular-factor integral; "
-                        "2d: 4-level dyadic subdivision, innermost dropped")
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +169,9 @@ class MedianDecay:
     medians: tuple[float, ...]
 
 
-def median_decay_check(tf: SampledFunction, t: float,
-                       sides: tuple[int, ...] | None = None) -> MedianDecay:
-    """Medians of a transform Tf over growing centered cubes; the flag
-    certifies decay.
+def median_decay_check(tf: SampledFunction, t: float) -> MedianDecay:
+    """Medians of a transform Tf over centered cubes of sides N/8, N/4, N/2
+    and N (those >= 1); the flag certifies decay.
 
     The domain is bounded, so "medians tend to zero" is read as: in the
     largest available window the |median| drops materially, sitting below
@@ -184,20 +180,19 @@ def median_decay_check(tf: SampledFunction, t: float,
     constant output (no decay) fails."""
     grid = tf.grid
     n = grid.cells_per_side
-    if sides is None:
-        sides = tuple(s for s in (n // 8, n // 4, n // 2, n) if s >= 1)
+    sides = tuple(s for s in (n // 8, n // 4, n // 2, n) if s >= 1)
     meds = []
     for m in sides:
         corner = ((n - m) // 2,) * grid.dim
         meds.append(abs(median(tf, t, Cube(grid, corner, m))))
     scale = float(np.abs(tf.values).max(initial=0.0))
     if scale == 0.0 or max(meds) <= 1e-14 * scale:
-        return MedianDecay(True, tuple(sides), tuple(meds))
+        return MedianDecay(True, sides, tuple(meds))
     if len(meds) < 2:
-        return MedianDecay(False, tuple(sides), tuple(meds))
+        return MedianDecay(False, sides, tuple(meds))
     flag = (meds[-1] <= DECAY_LAST_DROP * meds[-2]
             and meds[-1] <= DECAY_LAST_DROP * max(meds))
-    return MedianDecay(flag, tuple(sides), tuple(meds))
+    return MedianDecay(flag, sides, tuple(meds))
 
 
 # ---------------------------------------------------------------------------

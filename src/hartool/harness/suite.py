@@ -79,9 +79,9 @@ def _kind_cycle(kind: str) -> tuple[str, ...]:
 
 def draw_suite_params(descriptor: dict, dim: int, seed: int) -> list[dict]:
     kinds = _kind_cycle(descriptor.get("kind", "mixed"))
-    count = int(descriptor.get("count", 8))
-    if count < 1:
-        raise ValueError(f"suite count must be >= 1, got {count}")
+    count = descriptor.get("count", 8)
+    if type(count) is not int or count < 1:
+        raise ValueError(f"suite count must be an integer >= 1, got {count!r}")
     rng = np.random.default_rng(seed)
     return [_draw_one(kinds[i % len(kinds)], dim, rng) for i in range(count)]
 

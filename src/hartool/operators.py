@@ -45,6 +45,10 @@ __all__ = [
 SUBDIVISION_LEVELS = 4
 HORMANDER_MAX_PAIRS = 10_000
 
+# The singular-cell policy above, as reports record it.
+SINGULAR_CELL_POLICY = ("1d: exact singular-factor integral; "
+                        "2d: 4-level dyadic subdivision, innermost dropped")
+
 
 @dataclass(frozen=True)
 class SphereFunction:
@@ -147,7 +151,11 @@ class RieszKernel(KernelSpec):
 
 @dataclass(frozen=True)
 class DiniKernel(KernelSpec):
-    """k(x, y) = Omega((x-y)/|x-y|) |x-y|^(-n(1-gamma)) with mean-zero Omega."""
+    """k(x, y) = Omega((x-y)/|x-y|) |x-y|^(-n(1-gamma)) with mean-zero Omega.
+
+    `omega` is the kernel's modulus of continuity.  No kernel value reads
+    it; a config fills it from its own `omega`, the modulus the lambda
+    sequences are built from, and rejects a descriptor that spells another."""
 
     dim: int
     gamma: float
@@ -476,14 +484,13 @@ def omega_lambda(omega: ModulusOmega, M: int, c_n: float) -> LambdaSequence:
     return LambdaSequence(vals, "from_omega", (False,) * M)
 
 
-def hormander_lambda(kernel: KernelSpec, Q: Cube, M: int, A: YoungFunction,
-                     seed: int = 0) -> LambdaSequence:
+def hormander_lambda(kernel: KernelSpec, Q: Cube, M: int, A: YoungFunction) -> LambdaSequence:
     """lambda_m = sup over u, v in Q of |2^(m+1)Q|^(1-gamma) times the
     mean-normalized Luxemburg norm over the clipped 2^(m+1)Q of the kernel
     difference restricted to the annulus 2^(m+1)Q minus 2^m Q.
 
     The sup runs over cell-center pairs (all pairs when there are at most
-    10^4, a seeded random sample otherwise); normalizing measures are
+    10^4, a random sample of seed 0 otherwise); normalizing measures are
     unclipped, integrals run over clipped regions.  The kernel values are
     the rows of `kernel_matrix`, so a cell holding a singular point carries
     the refined cell value T is applied with.  That is the whole n x n
@@ -498,7 +505,7 @@ def hormander_lambda(kernel: KernelSpec, Q: Cube, M: int, A: YoungFunction,
     if nq * nq <= HORMANDER_MAX_PAIRS:
         pair_idx = np.stack(np.divmod(np.arange(nq * nq), nq), axis=1)
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         pair_idx = np.stack([rng.integers(0, nq, HORMANDER_MAX_PAIRS),
                              rng.integers(0, nq, HORMANDER_MAX_PAIRS)], axis=1)
     rank = concentric_rank(grid, Q.center2).ravel()

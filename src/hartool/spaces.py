@@ -178,16 +178,16 @@ def compat_52(phi: MorreyWeight, psi: MorreyWeight, gamma: float, grid: Grid) ->
     return float((tail_max / den).max())
 
 
-def compat_53(phi: MorreyWeight, psi: MorreyWeight, grid: Grid,
-              panels: int = 4000) -> float:
-    """max over l of psi(x, l) int_l^D (1/phi(x, t)) dt/t, D the domain diameter."""
+def compat_53(phi: MorreyWeight, psi: MorreyWeight, grid: Grid) -> float:
+    """max over l of psi(x, l) int_l^D (1/phi(x, t)) dt/t, D the domain diameter,
+    each integral a midpoint sum over 4000 panels uniform in log t."""
     D = grid.diameter
     sides = np.arange(1, grid.cells_per_side + 1) * grid.h
     sides = sides[sides < D]
     best = 0.0
     x = None
     for l in sides:
-        u = np.linspace(math.log(l), math.log(D), panels + 1)
+        u = np.linspace(math.log(l), math.log(D), 4001)
         mid = 0.5 * (u[1:] + u[:-1])
         du = u[1] - u[0]
         integral = float(np.sum(du / np.asarray(phi.value(x, np.exp(mid)), dtype=float)))

@@ -202,7 +202,7 @@ def test_acceptance_10_morrey_boundedness_and_reduction():
             f"c_emp {[round(g.c_emp, 4) for g in rep.grids]}, reduction err {worst:.2e}", t0)
 
 
-def test_acceptance_11_determinism_across_threads():
+def test_acceptance_11_determinism_across_threads(fresh_report):
     t0 = time.time()
     kw = dict(grid_sizes=(64, 128), suite={"kind": "mixed", "count": 6})
     rep1 = run_inequality(default_config("thm21", threads=1, **kw))
@@ -210,4 +210,6 @@ def test_acceptance_11_determinism_across_threads():
     assert rep1.to_json_bytes() == rep4.to_json_bytes()
     rep1b = run_inequality(default_config("thm21", threads=1, **kw))
     assert rep1.to_json_bytes() == rep1b.to_json_bytes()
+    # the in-process runs share the kernel-matrix cache; a new interpreter does not
+    assert fresh_report(default_config("thm21", threads=4, **kw)) == rep1.to_json_bytes()
     _report(11, "determinism across threads", "byte-identical reports", t0)

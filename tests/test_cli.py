@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from hartool.harness import default_config
+from hartool import RieszKernel
+from hartool.harness import ExperimentConfig, default_config
 from hartool.harness.cli import main
 
 
@@ -83,8 +85,8 @@ def test_run_rejects_dense_kernel_over_budget(tmp_path, capsys):
 
 # Each descriptor below fails to construct (or, for the power_log base, is
 # not convex, so its conjugate does not exist; or it sets an input that no
-# runner reads; or it leaves the run nothing to check); the run must stop at
-# validation with exit 2 and name the field.
+# runner reads; or it leaves the run nothing to check; or it contradicts the
+# config); the run must stop at validation with exit 2 and name the field.
 BAD_DESCRIPTORS = {
     "thm22_gauge_a_power_below_1": (
         {"inequality_id": "thm22", "gauge_a": {"family": "power", "p": 0.5}}, "gauge_a"),
@@ -134,6 +136,31 @@ BAD_DESCRIPTORS = {
     "thm53_no_operators": ({"inequality_id": "thm53", "gamma": 0.25, "operators": []}, "operators"),
     "thm31_empty_t_scan": ({"inequality_id": "thm31", "t_scan": []}, "t_scan"),
     "eq33_empty_t_scan": ({"inequality_id": "eq33", "t_scan": []}, "t_scan"),
+    # sizes that are not integers
+    "grid_size_fractional": (
+        {"inequality_id": "prop51", "gamma": 0.25, "grid_sizes": [16, 32.0]}, "grid_sizes"),
+    "suite_count_fractional": (
+        {"inequality_id": "prop51", "gamma": 0.25, "suite": {"kind": "mixed", "count": 2.5}},
+        "suite"),
+    "thm31_weight_suite_count_fractional": (
+        {"inequality_id": "thm31", "weight_suite": {"kind": "mixed_weights", "count": 2.5}},
+        "weight_suite"),
+    # a kernel descriptor that contradicts a value the config holds
+    "eq12_kernel_gamma_differs": (
+        {"inequality_id": "eq12", "kernel": {"variant": "riesz", "gamma": 0.6}}, "kernel"),
+    "thm21_kernel_gamma_differs": (
+        {"inequality_id": "thm21", "kernel": {"variant": "riesz", "gamma": 0.75}}, "kernel"),
+    "kernel_dim_differs": (
+        {"inequality_id": "eq12", "kernel": {"variant": "riesz", "dim": 2, "gamma": 0.5}},
+        "kernel"),
+    "lem41_dini_omega_differs": (
+        {"inequality_id": "lem41", "kernel": {
+            "variant": "dini", "gamma": 0.5, "sphere": {"dim": 1, "pos": 1.0, "neg": -1.0},
+            "omega": {"family": "log", "eps": 0.5}}}, "kernel"),
+    "thm23_homogeneous_gamma_differs": (
+        {"inequality_id": "thm23", "gamma": 0.5, "kernel": {
+            "variant": "homogeneous", "gamma": 0.3, "coeffs": [1.0, -1.0],
+            "exponents": [0.35, 0.35]}}, "kernel"),
 }
 
 
@@ -141,10 +168,17 @@ BAD_DESCRIPTORS = {
 def test_run_rejects_bad_descriptor(name, tmp_path, capsys):
     data, field = BAD_DESCRIPTORS[name]
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps(dict(data, grid_sizes=[16, 32])))
+    cfg_path.write_text(json.dumps({"grid_sizes": [16, 32], **data}))
     assert run_cli("run", "--config", str(cfg_path)) == 2
     err = capsys.readouterr().err
     assert "config rejected" in err and field in err
+
+
+def test_readme_example_config_validates():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("Minimal example:")[1].split("```json")[1].split("```")[0]
+    cfg = ExperimentConfig.from_json(example)
+    assert cfg.resolved_kernel() == RieszKernel(cfg.dim, cfg.gamma)
 
 
 def test_oracle_command(capsys):

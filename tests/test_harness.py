@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,6 +51,32 @@ def test_null_gauge_is_the_default_gauge(ineq):
     for slot, gauge in expected.items():
         assert default_config(ineq, **{slot: None}).resolved_gauge(slot) == gauge
         assert default_config(ineq).resolved_gauge(slot) == gauge
+
+
+_SPHERES = {1: {"pos": 1.0, "neg": -1.0}, 2: {"cos": [1.0], "sin": [0.0, 0.5]}}
+
+
+@pytest.mark.parametrize("ineq,variant,dim", [
+    ("eq12", "riesz", 1), ("eq12", "riesz", 2), ("thm21", "dini", 1), ("thm21", "dini", 2),
+    ("lem41", "dini", 1), ("thm23", "homogeneous", 1)])
+def test_kernel_descriptor_takes_shared_values_from_config(ineq, variant, dim):
+    # a descriptor that omits dim and gamma (and a Dini omega and sphere.dim)
+    # resolves to the kernel that spells the config's values
+    omega = {"family": "log", "eps": 0.5}
+    cfg = default_config(ineq, dim=dim, gamma=0.3, omega=omega, grid_sizes=(16, 32))
+    short = {"variant": variant}
+    if variant == "dini":
+        short["sphere"] = _SPHERES[dim]
+    if variant == "homogeneous":
+        short.update(coeffs=[1.0, -2.0], exponents=[0.5, 0.2])
+    full = dict(short, dim=dim, gamma=0.3)
+    if variant == "dini":
+        full.update(omega=omega, sphere=dict(_SPHERES[dim], dim=dim))
+    kernel = replace(cfg, kernel=short).resolved_kernel()
+    assert kernel == replace(cfg, kernel=full).resolved_kernel()
+    assert (kernel.dim, kernel.gamma) == (dim, 0.3)
+    if variant == "dini":
+        assert kernel.omega == cfg.resolved_omega()
 
 
 def test_config_round_trip():
@@ -235,13 +262,16 @@ def test_run_inequality_reports_and_stability():
     assert "singular_cell_policy" in payload["metadata"]
 
 
-def test_reports_byte_identical_across_runs_and_threads():
+def test_reports_byte_identical_across_runs_and_threads(fresh_report):
     kw = dict(grid_sizes=(32, 64), suite={"kind": "mixed", "count": 4})
     base = run_inequality(default_config("thm21", **kw)).to_json_bytes()
     again = run_inequality(default_config("thm21", **kw)).to_json_bytes()
     threaded = run_inequality(default_config("thm21", threads=4, **kw)).to_json_bytes()
     assert base == again
     assert base == threaded  # thread count is an execution detail, not report content
+    # the in-process runs share the kernel-matrix cache; a new interpreter starts empty
+    assert fresh_report(default_config("thm21", **kw)) == base
+    assert fresh_report(default_config("thm21", threads=4, **kw)) == base
 
 
 def test_witness_reevaluation_reproduces_ratio():

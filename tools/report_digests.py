@@ -2,9 +2,13 @@
 
 The set is every config of ``perfbench/configs.json`` (all workloads) at
 seeds 0, 3 and 7, and ``default_config(id, dim=d, grid_sizes=(16, 32))``
-of every catalog id in 1D and 2D: 71 reports.  For the pointwise ids
-(eq12, thm21, thm22, thm23) the ``--witnesses`` diagnostics of those
-default configs get a digest line of their own.  A change that keeps the
+of every catalog id in 1D and 2D, plus four configs with an explicit
+kernel descriptor (thm21 with a Dini kernel in 1D and 2D, lem41 with a Dini
+kernel, eq12 with a Riesz one): 75 reports.  Each descriptor spells every
+key it shares with its config, so a checkout that reads the descriptor
+alone runs them too.  For the pointwise ids (eq12, thm21, thm22, thm23) the
+``--witnesses`` diagnostics of the default configs get a digest line of
+their own: 83 lines in all.  A change that keeps the
 arithmetic route keeps every line, so a byte-identity check of two
 checkouts is
 
@@ -28,6 +32,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 3, 7)
 POINTWISE_IDS = ("eq12", "thm21", "thm22", "thm23")
+_LOG_OMEGA = {"family": "log", "eps": 0.5}
+DESCRIPTOR_CONFIGS = {
+    "thm21-dini/1d": {"inequality_id": "thm21", "kernel": {
+        "variant": "dini", "dim": 1, "gamma": 0.5, "sphere": {"dim": 1, "pos": 1.0, "neg": -1.0},
+        "omega": {"family": "holder", "delta": 1.0}}},
+    "thm21-dini/2d": {"inequality_id": "thm21", "dim": 2, "kernel": {
+        "variant": "dini", "dim": 2, "gamma": 0.5,
+        "sphere": {"dim": 2, "cos": [1.0], "sin": [0.0, 0.5]},
+        "omega": {"family": "holder", "delta": 1.0}}},
+    "lem41-dini/1d": {"inequality_id": "lem41", "omega": _LOG_OMEGA, "kernel": {
+        "variant": "dini", "dim": 1, "gamma": 0.5, "sphere": {"dim": 1, "pos": 1.0, "neg": -1.0},
+        "omega": _LOG_OMEGA}},
+    "eq12-riesz/1d": {"inequality_id": "eq12",
+                      "kernel": {"variant": "riesz", "dim": 1, "gamma": 0.5}},
+}
 
 
 def _sha(data: bytes) -> str:
@@ -61,6 +80,9 @@ def main(argv=None) -> int:
                 diags = {str(g.n): witness_diagnostics(cfg, g.n, g.witness) for g in report.grids}
                 payload = json.dumps(sanitize(diags), sort_keys=True).encode()
                 print(f"witnesses/{ineq}/{dim}d {_sha(payload)}", flush=True)
+    for name, fields in DESCRIPTOR_CONFIGS.items():
+        report = run_inequality(default_config(**fields, grid_sizes=(16, 32)))
+        print(f"descriptor/{name} {_sha(report.to_json_bytes())}", flush=True)
     return 0
 
 
