@@ -16,22 +16,20 @@ linear case A(t) = t.  The module provides
   Illinois steps in log-log coordinates to LUXEMBURG_RTOL, guarded by a
   midpoint fallback for a NaN secant and a minimum step; the scalar norms
   are one-row batches,
-* the Dini integral of a modulus of continuity with a documented
-  divergence heuristic, and
+* the Dini integral of a modulus of continuity, and
 * the bump norm ( int_1^inf A(t)^(q/p) t^-q dt/t )^(1/q) with 1/q = 1/p - alpha,
   whose finiteness defines the integrability classes used by the
   two-weight results.
 
-Divergence detection is heuristic, and the two integrals use different
-tests.  The Dini integral compares per-decade contributions
-(`_classify_decay`): a clearly geometric decay is convergent, a decade
-ratio above RATIO_DIVERGENT is divergent, and the gray zone is resolved
-by fitting the decay exponent a of s_k ~ k^-a (divergent iff
-a <= EXPONENT_BORDERLINE).  The bump norm fits the power-law exponent of
-its integrand over the last decade below its cutoff t = 1e8 and is
-divergent iff that exponent (in dt) is >= -1; otherwise it adds the
-power-law tail beyond the cutoff.  The analytic families used in tests
-have known ground truth for all branches.
+Every divergence verdict is exact and comes from declared tails, not from
+samples of the integrand.  Each gauge family states its growth at infinity,
+`tail()` = (P, b) with A(t) ~ t^P (log t)^b, and each modulus its decay at
+zero, `tail()` = (delta, b) with omega(t) ~ t^delta (log 1/t)^b.  Both
+integrals, and `thm42`'s lambda tail, reduce to int^inf t^E (log t)^B dt/t,
+which `tail_converges` decides: finite iff E < 0, or E = 0 and B < -1.  A
+divergent integral is (inf, True).  A convergent one is the midpoint rule
+up to a cutoff plus the integral of the declared tail beyond it
+(`_declared_integral`).
 """
 
 from __future__ import annotations
@@ -64,6 +62,7 @@ __all__ = [
     "conjugate",
     "luxemburg_mean_norm",
     "luxemburg_raw_norm",
+    "tail_converges",
     "dini_integral",
     "bump_norm",
     "young_from_json",
@@ -72,11 +71,7 @@ __all__ = [
 ]
 
 LUXEMBURG_RTOL = 1e-13
-
-# Divergence-heuristic thresholds (see module docstring).
-RATIO_GEOMETRIC = 0.90
-RATIO_DIVERGENT = 0.99
-EXPONENT_BORDERLINE = 1.10
+TAIL_ATOL = 1e-12
 
 
 class YoungFunction:
@@ -87,10 +82,11 @@ class YoungFunction:
     def value(self, t):
         raise NotImplementedError
 
-    def log_value(self, t):
-        """log A(t), overridable where A overflows."""
-        with np.errstate(divide="ignore"):
-            return np.log(self.value(t))
+    def tail(self) -> tuple[float, float]:
+        """(P, b) with A(t) ~ t^P (log t)^b as t -> inf; (p, 0) for a power
+        form.  P = inf marks growth beyond every power, and then b is the a
+        of A ~ exp(t^a) (inf for an indicator)."""
+        return (self.power_form()[0], 0.0)
 
     # (p, scale) such that A(t) = scale * t^p, or None.  Pure-power gauges
     # admit exact closed forms used by the vectorized cube sweeps.
@@ -191,6 +187,9 @@ class PowerLogGauge(YoungFunction):
         return log_s, (t**self.p * (1.0 + l1) ** (self.a - 1.0)
                        * ((self.p - 1.0) * (1.0 + l1) + self.a * r))
 
+    def tail(self):
+        return (self.p, self.a)
+
     def doubling_constant(self):
         return 2.0**self.p * 2.0 ** max(self.a, 0.0)
 
@@ -214,14 +213,6 @@ class ExpPowerGauge(YoungFunction):
         with np.errstate(over="ignore"):
             return np.expm1(np.power(t, self.a))
 
-    def log_value(self, t):
-        t = np.asarray(t, dtype=float)
-        ta = np.power(t, self.a)
-        small = ta < 30.0
-        with np.errstate(divide="ignore"):
-            out = np.where(small, np.log(np.expm1(np.minimum(ta, 30.0))), ta)
-        return out
-
     def legendre_pair(self, t):
         """(log A'(t), t A'(t) - A(t)) with u = t^a: log A' = log a + (a-1) log t + u
         and t A' - A = (a-1) u e^u + (u e^u - expm1(u)), the last term by its
@@ -231,6 +222,9 @@ class ExpPowerGauge(YoungFunction):
         ue = u * np.exp(u)
         return (math.log(self.a) + (self.a - 1.0) * np.log(t) + u,
                 (self.a - 1.0) * ue + np.where(u < 0.01, series, ue - np.expm1(u)))
+
+    def tail(self):
+        return (math.inf, self.a)
 
     def to_json(self):
         return {"family": "exp_power", "a": self.a}
@@ -304,10 +298,25 @@ class ConjugateGauge(YoungFunction):
       raises ValueError on first use.  Against a ternary search the table
       is within 4e-8 relative for the bases measured (3e-7 for
       t log(e + t), whose knots span 80 decades of t); README, "Numerical
-      policy", lists the measurements."""
+      policy", lists the measurements.
+
+    Its tail follows from the base's through the same Legendre pair: with
+    s = A'(t) ~ p t^(p-1) (log t)^b, A* = t A' - A ~ (1 - 1/p) t s, so a
+    base tail (p, b) with p > 1 gives (p', -b/(p-1)); exp(t^a) gives
+    s (log s)^(1/a), that is (1, 1/a); and a base with p = 1 gives P = inf,
+    since the conjugate of a t is an indicator and that of t (log t)^b
+    grows like exp(s^(1/b))."""
 
     base: YoungFunction
     family = "conjugate"
+
+    def tail(self):
+        p, b = self.base.tail()
+        if p == math.inf:
+            return (1.0, 1.0 / b)
+        if p == 1.0:
+            return (math.inf, 1.0 / b if b > 0 else math.inf)
+        return (p / (p - 1.0), -b / (p - 1.0))
 
     def power_form(self):
         power = self.base.power_form()
@@ -342,6 +351,10 @@ class ModulusOmega:
     def value(self, t):
         raise NotImplementedError
 
+    def tail(self) -> tuple[float, float]:
+        """(delta, b) with omega(t) ~ t^delta (log 1/t)^b as t -> 0."""
+        raise NotImplementedError
+
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -359,6 +372,9 @@ class HolderModulus(ModulusOmega):
 
     def value(self, t):
         return np.power(t, self.delta)
+
+    def tail(self):
+        return (self.delta, 0.0)
 
     def to_json(self):
         return {"family": "holder", "delta": self.delta}
@@ -379,6 +395,9 @@ class LogModulus(ModulusOmega):
         t = np.asarray(t, dtype=float)
         return np.log(np.e + 1.0 / t) ** (-(1.0 + self.eps))
 
+    def tail(self):
+        return (0.0, -(1.0 + self.eps))
+
     def to_json(self):
         return {"family": "log", "eps": self.eps}
 
@@ -392,6 +411,9 @@ class BorderlineLogModulus(ModulusOmega):
     def value(self, t):
         t = np.minimum(np.asarray(t, dtype=float), 1.0)
         return 1.0 / np.log(np.e / t)
+
+    def tail(self):
+        return (0.0, -1.0)
 
     def to_json(self):
         return {"family": "log_borderline"}
@@ -599,62 +621,61 @@ def luxemburg_raw_norm(f: SampledFunction, Q: Cube | Box, A: YoungFunction) -> f
 
 
 # ---------------------------------------------------------------------------
-# Dini integral
+# declared-tail integrals: the Dini integral and the bump norm
 
-DINI_LOG_LO = -40.0
+DINI_LOG_SPAN = 40.0
 DINI_PANELS = 100_000
-
-
-def _classify_decay(decade_sums: np.ndarray) -> bool:
-    """True when the tail of positive per-decade sums indicates divergence."""
-    s = decade_sums[decade_sums > 0]
-    if s.size < 4:
-        return False
-    ratios = s[1:] / s[:-1]
-    rho = float(np.mean(ratios[-3:]))
-    if rho > RATIO_DIVERGENT:
-        return True
-    if rho < RATIO_GEOMETRIC:
-        return False
-    k = np.arange(1, s.size + 1, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.log(s[:-1] / s[1:]) / np.log(k[1:] / k[:-1])
-    a_tail = float(np.mean(a[-3:]))
-    return a_tail <= EXPONENT_BORDERLINE
-
-
-def dini_integral(omega: ModulusOmega, c_n: float) -> tuple[float, bool]:
-    """int_0^1 omega(c_n t) dt/t on [e^-40, 1], with a divergence flag."""
-    if not c_n > 0:
-        raise ValueError("c_n must be positive")
-    u = np.linspace(DINI_LOG_LO, 0.0, DINI_PANELS + 1)
-    mid = 0.5 * (u[1:] + u[:-1])
-    du = u[1] - u[0]
-    g = omega.value(c_n * np.exp(mid))
-    value = float(np.sum(g * du))
-    # decade sums over t in [10^-(d+1), 10^-d]
-    decades = np.floor(-mid / math.log(10.0)).astype(int)
-    dmax = int(-DINI_LOG_LO / math.log(10.0))  # last complete decade index + 1
-    sums = np.zeros(dmax)
-    for d in range(dmax):
-        sums[d] = np.sum(g[decades == d] * du)
-    return value, _classify_decay(sums)
-
-
-# ---------------------------------------------------------------------------
-# bump norm
-
 BUMP_LOG_HI = math.log(1e8)
 BUMP_PANELS = 200_000
 
 
-def bump_norm(A: YoungFunction, alpha: float, p: float) -> tuple[float, bool]:
-    """( int_1^inf A(t)^(q/p) t^-q dt/t )^(1/q) with 1/q = 1/p - alpha.
+def tail_converges(E: float, B: float) -> bool:
+    """True iff int^inf t^E (log t)^B dt/t is finite: E < 0, or E = 0 and
+    B < -1.  E = 0 and B = -1 are decided within TAIL_ATOL = 1e-12, since
+    exponents that agree exactly can come out of different float formulas
+    (p' and (q/r)', say)."""
+    return E < -TAIL_ATOL or (E <= TAIL_ATOL and B < -1.0 - TAIL_ATOL)
 
-    Log-spaced quadrature up to t = 1e8 with a power-law tail
-    extrapolation; flagged divergent when the fitted integrand exponent
-    at the cutoff is >= -1.  The lower limit is fixed at 1, so reported
-    values are relative to that choice (membership does not depend on it).
+
+def _declared_integral(g, lo: float, hi: float, panels: int, E: float, B: float) -> float:
+    """int_lo^inf g(u) du for a g ~ e^(E u) u^B that `tail_converges`: the
+    midpoint rule on [lo, hi] plus the declared tail from the end of the
+    last panel, g(hi) / (-E) for E < 0 and g(hi) hi / (-B - 1) for E = 0."""
+    u = np.linspace(lo, hi, panels + 1)
+    du = u[1] - u[0]
+    body = float(np.sum(g(0.5 * (u[1:] + u[:-1])) * du))
+    end = float(g(np.array(hi)))
+    return body + (end / -E if E < -TAIL_ATOL else end * hi / (-B - 1.0))
+
+
+def dini_integral(omega: ModulusOmega, c_n: float) -> tuple[float, bool]:
+    """(int_0^1 omega(c_n t) dt/t, divergent), and (inf, True) when divergent.
+
+    With u = log 1/(c_n t) the integrand is omega(e^-u) ~ e^(-delta u) u^b,
+    so the verdict is `tail_converges(-delta, b)` from `omega.tail()`.  A
+    convergent value is the midpoint rule down to t = e^-40 plus the declared
+    tail below c_n e^-40: exact for a Holder modulus (c_n^delta / delta),
+    and (40 - log c_n)^-eps / eps for the log modulus."""
+    if not c_n > 0:
+        raise ValueError("c_n must be positive")
+    delta, b = omega.tail()
+    if not tail_converges(-delta, b):
+        return math.inf, True
+    lo = -math.log(c_n)
+    return _declared_integral(lambda u: omega.value(np.exp(-u)), lo, lo + DINI_LOG_SPAN,
+                              DINI_PANELS, -delta, b), False
+
+
+def bump_norm(A: YoungFunction, alpha: float, p: float) -> tuple[float, bool]:
+    """(( int_1^inf A(t)^(q/p) t^-q dt/t )^(1/q), divergent) with
+    1/q = 1/p - alpha, and (inf, True) when divergent.
+
+    With A.tail() = (P, b) the integrand is ~ t^E (log t)^B with
+    E = P q/p - q and B = b q/p, so membership in the bump class is
+    `tail_converges(E, B)` (Perez 1995, Proc. London Math. Soc. 71).  A
+    convergent value is log-spaced quadrature up to t = 1e8 plus the declared
+    tail beyond it.  The lower limit is fixed at 1, so reported values are
+    relative to that choice (membership does not depend on it).
     """
     if not (0 <= alpha < 1):
         raise ValueError("bump norm requires 0 <= alpha < 1")
@@ -663,23 +684,13 @@ def bump_norm(A: YoungFunction, alpha: float, p: float) -> tuple[float, bool]:
     if alpha > 0 and p >= 1.0 / alpha:
         raise ValueError("bump norm requires p < 1/alpha when alpha > 0")
     q = 1.0 / (1.0 / p - alpha)
-    u = np.linspace(0.0, BUMP_LOG_HI, BUMP_PANELS + 1)
-    mid = 0.5 * (u[1:] + u[:-1])
-    du = u[1] - u[0]
-    t = np.exp(mid)
-    # integrand of the dt/t form, evaluated in log space
-    log_g = (q / p) * A.log_value(t) - q * mid
-    # fitted d(log g)/d(log t) over the last decade, shifted by -1 for dt
-    k = max(1, int(math.log(10.0) / du))
-    exponent = float((log_g[-1] - log_g[-1 - k]) / (mid[-1] - mid[-1 - k])) - 1.0
-    divergent = exponent >= -1.0 or not np.isfinite(log_g[-1])
-    with np.errstate(over="ignore"):
-        g = np.exp(log_g)
-    integral = float(np.sum(g * du))
-    if divergent or not np.isfinite(integral):
+    P, b = A.tail()
+    E, B = P * q / p - q, b * q / p
+    if not tail_converges(E, B):
         return math.inf, True
-    tail = g[-1] * np.exp(0.5 * du) / (-(exponent + 1.0))  # g(T) * T / (-e-1) in dt/t form
-    return (integral + tail) ** (1.0 / q), False
+    with np.errstate(over="ignore", divide="ignore"):  # A(t) = 0 gives g = 0
+        g = lambda u: np.exp((q / p) * np.log(A.value(np.exp(u))) - q * u)
+        return _declared_integral(g, 0.0, BUMP_LOG_HI, BUMP_PANELS, E, B) ** (1.0 / q), False
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ INEQUALITY_CATALOG: dict[str, dict] = {
         "summary": "two-weight strong bound: weighted q-norm of Tf by the "
                    "weighted p-norm of f under the bump condition",
         "params": ["gamma", "r", "p", "q", "alpha1", "alpha2", "kernel", "gauge_a", "gauge_b",
-                   "omega", "c_n", "weight_pair", "weight_order", "t_scan", "weight_suite"],
+                   "omega", "weight_pair", "weight_order", "t_scan", "weight_suite"],
         "conjugated": ["gauge_a", "gauge_b"],
         "defaults": {"gamma": 0.2, "gauge_a": {"family": "power", "p": 5.0},
                      "gauge_b": {"family": "power", "p": 3.0},

@@ -32,8 +32,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from ..gauges import (ConjugateGauge, LinearGauge, PowerGauge, _classify_decay,
-                      bump_norm, luxemburg_mean_norm)
+from ..gauges import (ConjugateGauge, LinearGauge, PowerGauge, bump_norm, luxemburg_mean_norm,
+                      tail_converges)
 from ..geometry import Cube, CubeFamily, SampledFunction
 from ..maximal import (_window_count, fractional_maximal, lemma41_rhs,
                        local_sharp_maximal, median, narrowest_windows, sharp_median,
@@ -389,12 +389,9 @@ def _grid_thm42(cfg, n):
         "conjA_in_B_alpha2_q'": bump_norm(conj_a, a2, qprime),
         "conjB_in_B_alpha1r_p/r": bump_norm(conj_b, a1 * cfg.r, cfg.p / cfg.r),
     }
-    hypotheses_ok = all(not div for _, div in memberships.values())
-    omega = cfg.resolved_omega()
-    M = _max_dilations(n)
-    lam = omega_lambda(omega, M, cfg.resolved_c_n())
-    terms = np.array(lam.values) * 2.0 ** (np.arange(1, M + 1) * cfg.dim / cfg.q)
-    lam_tail_divergent = bool(_classify_decay(terms))
+    # sum_m omega(c 2^-m) 2^(m n/q) with omega(t) ~ t^delta (log 1/t)^b
+    delta, b = cfg.resolved_omega().tail()
+    lam_tail_divergent = not tail_converges(cfg.dim / cfg.q - delta, b)
     if cfg.weight_pair_mode == "unit":
         pairs = [(SampledFunction.constant(ctx.grid, 1.0, "unit"),
                   SampledFunction.constant(ctx.grid, 1.0, "unit"))]
@@ -417,9 +414,11 @@ def _grid_thm42(cfg, n):
         "lambda_tail_divergent": lam_tail_divergent,
         "bump_condition_values": bump_values,
     }
-    if not hypotheses_ok or lam_tail_divergent:
-        extra["grid_ok"] = False
-        extra["note"] = "bump-class or lambda-tail hypothesis failed"
+    failed = [k for k, (_, div) in memberships.items() if div]
+    if lam_tail_divergent:
+        failed.append("lambda_tail")
+    if failed:
+        extra.update(grid_ok=False, note=f"hypothesis failed: {', '.join(failed)}")
     extra.update(gate)  # its note, when it sets one, takes precedence
     return col, extra
 

@@ -16,22 +16,59 @@ import numpy as np
 
 from ..gauges import (BorderlineLogModulus, ConjugateGauge, ExpPowerGauge, HolderModulus,
                       LinearGauge, LogModulus, PowerGauge, PowerLawWeight, PowerLogGauge,
-                      ScaledPowerGauge, YoungFunction, batched_mean_norms, conjugate,
+                      ScaledPowerGauge, YoungFunction, batched_mean_norms, bump_norm, conjugate,
                       dini_integral, luxemburg_mean_norm, luxemburg_raw_norm)
 from ..geometry import (_SNAP, Cube, CubeFamily, Grid, SampledFunction, concentric_box, dilate,
                         enumerate_cubes, integrate, unclipped_dilate_measure)
 from ..maximal import (_window_count, fractional_maximal, lemma41_rhs, local_sharp_maximal,
                        sharp_median, sup_inf_over_cubes)
-from ..operators import LambdaSequence
+from ..operators import LambdaSequence, RieszKernel, apply_kernel
 from ..spaces import TRUNCATION_FACTOR, campanato_seminorm, morrey_norm, prop51_gap
 from ..weights import subset_ratio_exact
 
 __all__ = ["OracleCase", "run_oracle", "ORACLE_NAMES", "brute_force_sharp",
            "exhaustive_subset_ratio", "ternary_conjugate", "bisection_mean_norm",
-           "CountingGauge", "per_box_prop51", "per_box_lemma41"]
+           "golden_section_min", "CountingGauge", "per_box_prop51", "per_box_lemma41",
+           "BUMP_VERDICTS", "DINI_VERDICTS"]
 
 CONJUGATE_RTOL = 1e-12
 NUMERIC_NORM_RTOL = 1e-12  # numeric Luxemburg route against its references
+
+# Integrals with a known verdict.  Bump rows are (gauge, alpha, p, divergent):
+# at p = 2 power_log(2, a) integrates (log(e + t))^a dt/t, divergent for every
+# a >= -1; the conjugate of t^4 (log(e + t))^2 grows like s^(4/3) (log s)^(-2/3),
+# so thm42's two conjA memberships at its default exponents ((q/r)' = q' = 4/3,
+# alpha2 = 1/8) integrate (log t)^(-2/3) and (log t)^(-0.8) dt/t and diverge;
+# exp(t) - 1 outgrows every power, and its conjugate grows like s log s.
+BUMP_VERDICTS = (
+    (PowerGauge(1.5), 0.0, 2.0, False),
+    (PowerGauge(2.0), 0.0, 2.0, True),  # E = 0, B = 0
+    (PowerLogGauge(2.0, -1.5), 0.0, 2.0, False),  # E = 0, B = -1.5
+    (PowerLogGauge(2.0, -1.0), 0.0, 2.0, True),  # E = 0, B = -1
+    (PowerLogGauge(2.0, -0.9), 0.0, 2.0, True),
+    (PowerLogGauge(2.0, -0.5), 0.0, 2.0, True),
+    (PowerLogGauge(2.0, -0.1), 0.0, 2.0, True),
+    (ConjugateGauge(PowerLogGauge(4.0, 2.0)), 0.0, 4.0 / 3.0, True),
+    (ConjugateGauge(PowerLogGauge(4.0, 2.0)), 0.125, 4.0 / 3.0, True),
+    (ConjugateGauge(PowerLogGauge(2.0, 1.0)), 0.0, 3.0, False),  # E = -1
+    (ExpPowerGauge(1.0), 0.0, 2.0, True),
+    (ConjugateGauge(ExpPowerGauge(1.0)), 0.0, 2.0, False),
+    (ConjugateGauge(LinearGauge(1.0)), 0.0, 2.0, True),  # the indicator
+)
+# Dini rows are (modulus, c, divergent): int_0^1 t^delta dt/t = 1/delta, and
+# (log 1/t)^-(1+eps) dt/t converges for every eps > 0, but not at eps = 0.
+DINI_VERDICTS = (
+    (HolderModulus(1.0), 1.0, False),
+    (HolderModulus(0.02), 1.0, False),
+    (HolderModulus(0.01), 1.0, False),
+    (LogModulus(0.05), 1.0, False),
+    (LogModulus(0.01), 1.0, False),
+    (LogModulus(1.0), 2.0, False),
+    (BorderlineLogModulus(), 1.0, True),
+)
+# int_0^1 (log(e + 1/t))^-1.5 dt/t, by mpmath adaptive quadrature of
+# (log(e + e^u))^-1.5 over u in [0, inf)
+DINI_LOG_EPS05 = 2.2975656106
 
 
 @dataclass(frozen=True)
@@ -112,6 +149,20 @@ def ternary_conjugate(A: YoungFunction, s: float) -> float:
         if hi - lo <= CONJUGATE_RTOL * max(1.0, hi):
             break
     return max(0.0, g(0.5 * (lo + hi)))
+
+
+def golden_section_min(fun, lo: float, hi: float, steps: int = 200) -> float:
+    """min of a convex scalar function on [lo, hi] by golden-section search."""
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(steps):
+        c1, c2 = hi - r * (hi - lo), lo + r * (hi - lo)
+        if not lo < c1 < c2 < hi:
+            break
+        if fun(c1) < fun(c2):
+            hi = c2
+        else:
+            lo = c1
+    return min(fun(lo), fun(hi), fun(0.5 * (lo + hi)))
 
 
 def bisection_mean_norm(w: np.ndarray, A: YoungFunction, scale: float = 1.0) -> float:
@@ -369,6 +420,81 @@ def _oracle_dini(seed: int) -> list[OracleCase]:
     cases.append(OracleCase("dini/log-borderline", div, f"divergent={div}"))
     _, div = dini_integral(LogModulus(1.0), 1.0)
     cases.append(OracleCase("dini/log-eps1-convergent", not div, f"divergent={div}"))
+    cases.append(_verdict_case("dini/verdicts", [
+        (omega.to_json(), div, dini_integral(omega, c)) for omega, c, div in DINI_VERDICTS]))
+    val, div = dini_integral(HolderModulus(0.01), 1.0)
+    cases.append(OracleCase("dini/holder-small-delta", (not div) and _rel_err(val, 100.0) <= 1e-9,
+                            f"value {val!r} against 1/delta = 100 (bound 1e-9), divergent={div}"))
+    val, div = dini_integral(LogModulus(0.5), 1.0)
+    err = _rel_err(val, DINI_LOG_EPS05)
+    cases.append(OracleCase("dini/log-eps0.5", (not div) and err <= 1e-8,
+                            f"value {val!r} against {DINI_LOG_EPS05}, relative error {err:.3e} "
+                            f"(bound 1e-8), divergent={div}"))
+    return cases
+
+
+def _verdict_case(name: str, rows) -> OracleCase:
+    """One case over rows (label, expected divergent, (value, divergent)): the
+    verdict must match, and the value is inf exactly when divergent."""
+    wrong = [label for label, expect, (val, div) in rows
+             if div != expect or math.isfinite(val) == div]
+    return OracleCase(name, not wrong, f"{len(rows) - len(wrong)}/{len(rows)} verdicts right"
+                      + (f"; wrong: {wrong}" if wrong else ""))
+
+
+def _oracle_bump(seed: int) -> list[OracleCase]:
+    """The three bump memberships of thm42 at its default exponents, for
+    power bases, whose conjugates a s^P make the integral a closed form:
+    ( int_1^inf a^(q/p) t^E dt/t )^(1/q) = (a^(q/p) / -E)^(1/q) with
+    E = P q/p - q; and the verdict table."""
+    p, q, r = 2.0, 4.0, 1.0
+    alpha = 1.0 / p - 1.0 / q
+    a1 = a2 = alpha / 2.0
+    worst = 0.0
+    for base, alpha_b, p_b in ((PowerGauge(5.0), 0.0, (q / r) / (q / r - 1.0)),
+                               (PowerGauge(5.0), a2, q / (q - 1.0)),
+                               (PowerGauge(3.0), a1 * r, p / r)):
+        P, a = ConjugateGauge(base).power_form()
+        q_b = 1.0 / (1.0 / p_b - alpha_b)
+        ref = (a ** (q_b / p_b) / -(P * q_b / p_b - q_b)) ** (1.0 / q_b)
+        val, div = bump_norm(ConjugateGauge(base), alpha_b, p_b)
+        worst = max(worst, math.inf if div else _rel_err(val, ref))
+    return [OracleCase("bump/power-closed-form", worst <= 1e-9,
+                       f"max relative error {worst:.3e} over thm42's three memberships "
+                       f"with power gauges 5 and 3 (bound 1e-9)"),
+            _verdict_case("bump/verdicts", [
+                (f"{A.to_json()} alpha={alpha_b} p={p_b:.4g}", div, bump_norm(A, alpha_b, p_b))
+                for A, alpha_b, p_b, div in BUMP_VERDICTS])]
+
+
+def _oracle_kernel(seed: int) -> list[OracleCase]:
+    """T1 = apply_kernel(kernel, 1) on [0, 1]^n against closed forms, with the
+    observed order log2(err_N / err_2N) over N = 16, 32, 64.  In 1D,
+    int_0^1 |x - y|^(gamma - 1) dy = (x^gamma + (1 - x)^gamma) / gamma; in 2D
+    at gamma = 0.5 the kernel is 1/|x - y|, whose integral over [0, a] x [0, b]
+    from a corner is a asinh(b/a) + b asinh(a/b), summed over the four
+    rectangles that meet at x.  The bounds sit under 10% above the errors
+    measured at N = 64 (9.2e-3, 4.6e-3 and 6.0e-3); the midpoint-rule weights
+    of the cells next to the singular one keep the 1D order below gamma."""
+    corner = lambda a, b: a * np.arcsinh(b / a) + b * np.arcsinh(a / b)
+    cases = []
+    for dim, gamma, bound in ((1, 0.25, 1.0e-2), (1, 0.5, 5.0e-3), (2, 0.5, 6.5e-3)):
+        errs = []
+        for n in (16, 32, 64):
+            grid = Grid(dim, n)
+            x = grid.cell_centers()
+            t1 = apply_kernel(RieszKernel(dim, gamma), SampledFunction.constant(grid, 1.0))
+            if dim == 1:
+                ref = (x[:, 0] ** gamma + (1.0 - x[:, 0]) ** gamma) / gamma
+            else:
+                u, v = x[:, 0], x[:, 1]
+                ref = corner(u, v) + corner(1 - u, v) + corner(u, 1 - v) + corner(1 - u, 1 - v)
+            errs.append(float(np.max(np.abs(t1.values.ravel() - ref) / ref)))
+        orders = ", ".join(f"{math.log2(e0 / e1):.2f}" for e0, e1 in zip(errs, errs[1:]))
+        cases.append(OracleCase(
+            f"kernel/riesz-{dim}d-gamma{gamma}", errs[-1] <= bound,
+            f"max relative error {errs[0]:.3e}, {errs[1]:.3e}, {errs[2]:.3e} at N = 16, 32, 64 "
+            f"(bound {bound:.1e} at 64), observed order {orders}"))
     return cases
 
 
@@ -394,9 +520,11 @@ def _oracle_morrey(seed: int) -> list[OracleCase]:
 
 
 def _oracle_campanato(seed: int) -> list[OracleCase]:
-    """The q=2 Campanato seminorm against a per-cube variance over every
-    enumerated cube: with Phi(t) = t^2, Phi^{-1}(1/|Q|) inf_c ||f - c||_{Phi,Q}
-    is the standard deviation of f on Q."""
+    """The Campanato seminorm against every enumerated cube.  With
+    Phi(t) = t^p, Phi^{-1}(1/|Q|) inf_c ||f - c||_{Phi,Q} is
+    inf_c (mean_Q |f - c|^p)^(1/p): for p = 2 the standard deviation of f on
+    Q, for p = 1 its mean deviation from a median, and for p = 3 a
+    golden-section search over c finds it."""
     rng = np.random.default_rng(seed)
     phi = PowerLawWeight(-0.15)
     cases = []
@@ -413,6 +541,22 @@ def _oracle_campanato(seed: int) -> list[OracleCase]:
                 worst = max(worst, _rel_err(got, ref))
             cases.append(OracleCase(f"campanato/variance-{dim}d-{kind}", worst <= 1e-12,
                                     f"max relative error {worst:.3e} over 3 functions"))
+    for p, gauge, best in (
+            (1, LinearGauge(1.0), lambda w: float(np.mean(np.abs(w - np.median(w))))),
+            (3, PowerGauge(3.0), lambda w: golden_section_min(
+                lambda c: float(np.mean(np.abs(w - c) ** 3)), float(w.min()), float(w.max()))
+             ** (1.0 / 3.0))):
+        worst = 0.0
+        for dim, n, kind in ((1, 32, "all"), (1, 32, "dyadic"), (2, 8, "all")):
+            family = CubeFamily(Grid(dim, n), kind)
+            f = SampledFunction(family.grid, rng.uniform(-2, 2, size=family.grid.shape))
+            got = campanato_seminorm(f, gauge, phi, family)
+            ref = max(best(f.values[Q.slices].ravel()) / float(phi.value(None, Q.side_length))
+                      for Q in enumerate_cubes(family))
+            worst = max(worst, _rel_err(got, ref))
+        cases.append(OracleCase(f"campanato/power-p{p}", worst <= 1e-9,
+                                f"max relative error {worst:.3e} against enumerate_cubes on "
+                                f"1D all and dyadic and 2D all (bound 1e-9)"))
     return cases
 
 
@@ -465,6 +609,8 @@ ORACLE_NAMES = {
     "local_sharp": _oracle_local_sharp,
     "conjugate": _oracle_conjugate,
     "dini": _oracle_dini,
+    "bump": _oracle_bump,
+    "kernel": _oracle_kernel,
     "morrey": _oracle_morrey,
     "campanato": _oracle_campanato,
     "concentric": _oracle_concentric,

@@ -12,8 +12,10 @@ from hartool import (BorderlineLogModulus, ConjugateGauge, Cube, CubeFamily,
                      ScaledPowerGauge, TabulatedWeight, bump_norm, conjugate,
                      dini_integral, evaluate, inverse, luxemburg_mean_norm,
                      luxemburg_raw_norm, modulus_from_json, young_from_json)
-from hartool.gauges import LUXEMBURG_RTOL, _legendre_table, _power_norms, batched_mean_norms
-from hartool.harness.oracles import CountingGauge, ternary_conjugate
+from hartool.gauges import (LUXEMBURG_RTOL, _legendre_table, _power_norms, batched_mean_norms,
+                            tail_converges)
+from hartool.harness.oracles import (BUMP_VERDICTS, DINI_VERDICTS, CountingGauge,
+                                     ternary_conjugate)
 
 NUMERIC_GAUGES = [PowerLogGauge(2.0, 1.0), ExpPowerGauge(1.0),
                   ConjugateGauge(PowerLogGauge(2.0, 1.0)), ConjugateGauge(ExpPowerGauge(1.0))]
@@ -389,6 +391,59 @@ def test_bump_norm_fractional_index():
     # alpha > 0 shifts the tail exponent: t^s integrand with q = 1/(1/p - alpha)
     val, div = bump_norm(LinearGauge(1.0), 0.25, 2.0)
     assert not div and math.isfinite(val)
+
+
+@pytest.mark.parametrize("gauge, alpha, p, divergent", BUMP_VERDICTS,
+                         ids=[f"{g.to_json()}-alpha{a}-p{p:.4g}" for g, a, p, _ in BUMP_VERDICTS])
+def test_bump_verdict_is_exact(gauge, alpha, p, divergent):
+    # each row's truth is stated with the table in `hartool.harness.oracles`
+    val, div = bump_norm(gauge, alpha, p)
+    assert div == divergent
+    assert math.isfinite(val) != divergent
+
+
+@pytest.mark.parametrize("omega, c, divergent", DINI_VERDICTS,
+                         ids=[str(m.to_json()) for m, _, _ in DINI_VERDICTS])
+def test_dini_verdict_is_exact(omega, c, divergent):
+    val, div = dini_integral(omega, c)
+    assert div == divergent
+    assert math.isfinite(val) != divergent
+
+
+def test_declared_tail_integrals_match_closed_forms():
+    for delta in (1.0, 0.1, 0.02, 0.01):  # int_0^1 (c t)^delta dt/t = c^delta / delta
+        assert dini_integral(HolderModulus(delta), 2.0)[0] == pytest.approx(
+            2.0**delta / delta, rel=1e-8)
+    # the log modulus includes its tail below t = e^-40: (40 - log c)^-eps / eps
+    assert dini_integral(LogModulus(0.1), 1.0)[0] == pytest.approx(10.415, abs=1e-3)
+    # power_log(2, -1.5) at p = 2: int_1^inf (log(e + t))^-1.5 dt/t, by mpmath
+    assert bump_norm(PowerLogGauge(2.0, -1.5), 0.0, 2.0)[0] == pytest.approx(
+        1.51577228, rel=1e-8)
+
+
+def test_tail_converges_decides_the_borderline_within_tolerance():
+    assert tail_converges(-1e-11, 0.0) and not tail_converges(-1e-13, 0.0)
+    assert tail_converges(1e-13, -1.5) and not tail_converges(1e-11, -1.5)
+    assert not tail_converges(0.0, -1.0) and not tail_converges(0.0, -1.0 - 1e-13)
+    assert tail_converges(0.0, -1.0 - 1e-11)
+
+
+def test_conjugate_tail_follows_the_legendre_pair():
+    inf = math.inf
+    assert ConjugateGauge(PowerGauge(3.0)).tail() == (1.5, 0.0)
+    assert ConjugateGauge(PowerLogGauge(4.0, 2.0)).tail() == pytest.approx((4 / 3, -2 / 3))
+    assert ConjugateGauge(ExpPowerGauge(2.0)).tail() == (1.0, 0.5)
+    assert ConjugateGauge(LinearGauge(1.0)).tail()[0] == inf
+    assert ConjugateGauge(PowerLogGauge(1.0, 2.0)).tail() == (inf, 0.5)
+    assert ConjugateGauge(ConjugateGauge(PowerGauge(3.0))).tail() == pytest.approx((3.0, 0.0))
+    # the table values follow the declared tail: A*(s) / (s^P (log s)^b)
+    # drifts by at most 16% over eight decades of s (lower-order log terms),
+    # where flipping the sign of b would move it by a factor of 2.3 or more
+    s = np.logspace(6, 14, 9)
+    for base in (PowerLogGauge(4.0, 2.0), PowerLogGauge(2.0, -1.5), ExpPowerGauge(2.0)):
+        P, b = ConjugateGauge(base).tail()
+        ratio = conjugate(base, s) / (s**P * np.log(s) ** b)
+        assert ratio.max() / ratio.min() < 1.25, base.to_json()
 
 
 def test_modulus_monotone():

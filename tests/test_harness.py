@@ -335,6 +335,37 @@ def test_thm42_metadata_hypotheses():
     assert rep.passed
 
 
+def test_thm42_fails_when_a_conjugate_bump_diverges():
+    # A = t^4 (log(e + t))^2 has A* ~ s^(4/3) (log s)^(-2/3), so both conjA
+    # integrals at (q/r)' = q' = 4/3 behave like (log t)^-B dt/t with B < 1
+    cfg = default_config("thm42", gauge_a={"family": "power_log", "p": 4.0, "a": 2.0},
+                         grid_sizes=(32, 64))
+    rep = run_inequality(cfg)
+    assert not rep.passed
+    for g in rep.grids:
+        bumps = {k: m["divergent"] for k, m in g.extra["bump_memberships"].items()}
+        assert bumps == {"conjA_in_B_(q/r)'": True, "conjA_in_B_alpha2_q'": True,
+                         "conjB_in_B_alpha1r_p/r": False}
+        assert g.extra["note"] == "hypothesis failed: conjA_in_B_(q/r)', conjA_in_B_alpha2_q'"
+
+
+@pytest.mark.parametrize("delta, c_n, divergent", [(0.3, None, False), (0.3, 100.0, False),
+                                                    (0.25, None, True), (0.2, None, True)])
+def test_thm42_lambda_tail_compares_delta_with_n_over_q(delta, c_n, divergent):
+    # sum_m omega(c 2^-m) 2^(m n/q) converges iff delta > n/q = 1/4
+    cfg = default_config("thm42", omega={"family": "holder", "delta": delta}, c_n=c_n,
+                         grid_sizes=(16,), suite={"kind": "compact", "count": 2})
+    extra = run_inequality(cfg).grids[0].extra
+    assert extra["lambda_tail_divergent"] == divergent
+    assert (extra.get("note") == "hypothesis failed: lambda_tail") == divergent
+
+
+@pytest.mark.parametrize("name", ["bump", "dini", "kernel", "campanato"])
+def test_oracle_suite_passes(name):
+    cases = oracles.run_oracle(name)
+    assert cases and all(case.passed for case in cases), [c for c in cases if not c.passed]
+
+
 def test_thm42_empty_weight_pair_is_the_maximal_pair():
     # one default mode for every id: thm42 runs v = M w on an empty weight_pair
     kw = dict(grid_sizes=(16,), suite={"kind": "compact", "count": 2})
