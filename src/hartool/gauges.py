@@ -28,15 +28,21 @@ zero, `tail()` = (delta, b) with omega(t) ~ t^delta (log 1/t)^b.  Both
 integrals, and `thm42`'s lambda tail, reduce to int^inf t^E (log t)^B dt/t,
 which `tail_converges` decides: finite iff E < 0, or E = 0 and B < -1.  A
 divergent integral is (inf, True).  A convergent one is the midpoint rule
-up to a cutoff plus the integral of the declared tail beyond it
-(`_declared_integral`).
+up to a cutoff plus the exact integral of the declared tail beyond it, an
+upper incomplete gamma function when E < 0 (`_declared_integral`).
+
+Each family states its traits once.  A descriptor (`to_json`, and the
+`*_from_json` constructors) is the family name plus the dataclass fields by
+name; only the conjugate (its `base`) and the tabulated weight (`t`,
+`values`) spell theirs out.  A gauge with a power form a t^p is doubling
+with constant 2^p, and its conjugate with 2^p'.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -74,10 +80,18 @@ LUXEMBURG_RTOL = 1e-13
 TAIL_ATOL = 1e-12
 
 
-class YoungFunction:
-    """Base class for the parametric gauges; subclasses define value()."""
+class _Family:
+    """A member of a parametric family: its JSON descriptor is the family
+    name plus its dataclass fields by name."""
 
     family = "abstract"
+
+    def to_json(self) -> dict:
+        return {"family": self.family, **{f.name: getattr(self, f.name) for f in fields(self)}}
+
+
+class YoungFunction(_Family):
+    """Base class for the parametric gauges; subclasses define value()."""
 
     def value(self, t):
         raise NotImplementedError
@@ -94,8 +108,10 @@ class YoungFunction:
         return None
 
     def doubling_constant(self) -> float | None:
-        """A bound on sup_t A(2t)/A(t), or None when A is not doubling."""
-        return None
+        """A bound on sup_t A(2t)/A(t): exactly 2^p for a power form a t^p,
+        and None where a family states none (exp(t^a) - 1 is not doubling)."""
+        power = self.power_form()
+        return None if power is None else 2.0 ** power[0]
 
     def inverse(self, u: float) -> float:
         """t with A(t) = u: A(1/lam) <= u exactly when lam >= 1/t, so 1/t is
@@ -105,9 +121,6 @@ class YoungFunction:
         if u == 0:
             return 0.0
         return 1.0 / float(batched_mean_norms(np.ones((1, 1)), self, scale=1.0 / u)[0])
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -127,12 +140,6 @@ class PowerGauge(YoungFunction):
     def power_form(self):
         return (self.p, 1.0)
 
-    def doubling_constant(self):
-        return 2.0**self.p
-
-    def to_json(self):
-        return {"family": "power", "p": self.p}
-
 
 @dataclass(frozen=True)
 class ScaledPowerGauge(YoungFunction):
@@ -151,12 +158,6 @@ class ScaledPowerGauge(YoungFunction):
 
     def power_form(self):
         return (self.p, self.a)
-
-    def doubling_constant(self):
-        return 2.0**self.p
-
-    def to_json(self):
-        return {"family": "power_scaled", "p": self.p, "a": self.a}
 
 
 @dataclass(frozen=True)
@@ -193,9 +194,6 @@ class PowerLogGauge(YoungFunction):
     def doubling_constant(self):
         return 2.0**self.p * 2.0 ** max(self.a, 0.0)
 
-    def to_json(self):
-        return {"family": "power_log", "p": self.p, "a": self.a}
-
 
 @dataclass(frozen=True)
 class ExpPowerGauge(YoungFunction):
@@ -226,9 +224,6 @@ class ExpPowerGauge(YoungFunction):
     def tail(self):
         return (math.inf, self.a)
 
-    def to_json(self):
-        return {"family": "exp_power", "a": self.a}
-
 
 @dataclass(frozen=True)
 class LinearGauge(YoungFunction):
@@ -242,18 +237,10 @@ class LinearGauge(YoungFunction):
             raise ValueError("linear gauge requires r >= 1")
 
     def value(self, t):
-        if self.r == 1.0:
-            return np.asarray(t, dtype=float)
         return np.power(t, self.r)
 
     def power_form(self):
         return (self.r, 1.0)
-
-    def doubling_constant(self):
-        return 2.0**self.r
-
-    def to_json(self):
-        return {"family": "linear", "r": self.r}
 
 
 @functools.lru_cache(maxsize=None)
@@ -343,19 +330,14 @@ class ConjugateGauge(YoungFunction):
         return {"family": "conjugate", "base": self.base.to_json()}
 
 
-class ModulusOmega:
+class ModulusOmega(_Family):
     """Nondecreasing modulus of continuity on (0, infinity)."""
-
-    family = "abstract"
 
     def value(self, t):
         raise NotImplementedError
 
     def tail(self) -> tuple[float, float]:
         """(delta, b) with omega(t) ~ t^delta (log 1/t)^b as t -> 0."""
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
         raise NotImplementedError
 
 
@@ -376,9 +358,6 @@ class HolderModulus(ModulusOmega):
     def tail(self):
         return (self.delta, 0.0)
 
-    def to_json(self):
-        return {"family": "holder", "delta": self.delta}
-
 
 @dataclass(frozen=True)
 class LogModulus(ModulusOmega):
@@ -398,9 +377,6 @@ class LogModulus(ModulusOmega):
     def tail(self):
         return (0.0, -(1.0 + self.eps))
 
-    def to_json(self):
-        return {"family": "log", "eps": self.eps}
-
 
 @dataclass(frozen=True)
 class BorderlineLogModulus(ModulusOmega):
@@ -415,19 +391,11 @@ class BorderlineLogModulus(ModulusOmega):
     def tail(self):
         return (0.0, -1.0)
 
-    def to_json(self):
-        return {"family": "log_borderline"}
 
-
-class MorreyWeight:
+class MorreyWeight(_Family):
     """Positive function phi(x, t), nonincreasing in t, for Morrey norms."""
 
-    family = "abstract"
-
     def value(self, x, t):
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
         raise NotImplementedError
 
 
@@ -444,9 +412,6 @@ class PowerLawWeight(MorreyWeight):
 
     def value(self, x, t):
         return np.power(t, self.sigma)
-
-    def to_json(self):
-        return {"family": "power_law", "sigma": self.sigma}
 
 
 @dataclass(frozen=True)
@@ -637,15 +602,46 @@ def tail_converges(E: float, B: float) -> bool:
     return E < -TAIL_ATOL or (E <= TAIL_ATOL and B < -1.0 - TAIL_ATOL)
 
 
+def _tail_ratio(s: float, x: float) -> float:
+    """x^(1-s) e^x Gamma(s, x) = int_0^inf e^-w (1 + w/x)^(s-1) dw for x > 0
+    and any real s, and 1 exactly at s = 1.  Above 1 the recurrence
+    R(s) = 1 + (s - 1) R(s - 1) / x, a sum of positive terms, brings s down.
+    For s < 1, Legendre's continued fraction for e^y y^-s Gamma(s, y) at
+    y = max(x, 1) is summed from its 200th level up; modified Lentz (Press
+    et al., Numerical Recipes, section 6.2) settles within 85 levels for
+    every s <= 1 and y >= 1 tried.  Below 1, Gamma(s, x) adds
+    int_x^1 v^(s-1) e^-v dv, summed termwise over the series of e^-v; its
+    terms' magnitudes sum to at most e^2 times its value."""
+    if s == 1.0:
+        return 1.0
+    if s > 1.0:
+        return 1.0 + (s - 1.0) / x * _tail_ratio(s - 1.0, x)
+    y, cf = max(x, 1.0), 0.0
+    for i in range(200, 0, -1):
+        cf = -i * (i - s) / (y + 1.0 - s + 2 * i + cf)
+    h = 1.0 / (y + 1.0 - s + cf)
+    if x >= 1.0:
+        return x * h
+    lx = math.log(x)
+    terms = [(-1) ** k / math.factorial(k) * (-math.expm1((s + k) * lx) / (s + k) if s + k else -lx)
+             for k in range(max(0, math.ceil(-s)) + 30)]
+    return x ** (1.0 - s) * math.exp(x) * (h / math.e + math.fsum(terms))
+
+
 def _declared_integral(g, lo: float, hi: float, panels: int, E: float, B: float) -> float:
     """int_lo^inf g(u) du for a g ~ e^(E u) u^B that `tail_converges`: the
-    midpoint rule on [lo, hi] plus the declared tail from the end of the
-    last panel, g(hi) / (-E) for E < 0 and g(hi) hi / (-B - 1) for E = 0."""
+    midpoint rule on [lo, hi] plus the declared tail g(hi) e^(E (u - hi))
+    (u/hi)^B integrated exactly from the end of the last panel.  For E < 0
+    that is g(hi)/(-E) times `_tail_ratio`(B + 1, -E hi), the upper
+    incomplete gamma function in closed form, and just g(hi)/(-E) when
+    B = 0; for E = 0 it is g(hi) hi / (-B - 1)."""
     u = np.linspace(lo, hi, panels + 1)
     du = u[1] - u[0]
     body = float(np.sum(g(0.5 * (u[1:] + u[:-1])) * du))
     end = float(g(np.array(hi)))
-    return body + (end / -E if E < -TAIL_ATOL else end * hi / (-B - 1.0))
+    if E < -TAIL_ATOL:
+        return body + end / -E * _tail_ratio(B + 1.0, -E * hi)
+    return body + end * hi / (-B - 1.0)
 
 
 def dini_integral(omega: ModulusOmega, c_n: float) -> tuple[float, bool]:
@@ -696,39 +692,28 @@ def bump_norm(A: YoungFunction, alpha: float, p: float) -> tuple[float, bool]:
 # ---------------------------------------------------------------------------
 # JSON constructors
 
-_YOUNG_FAMILIES = {
-    "power": lambda d: PowerGauge(p=float(d["p"])),
-    "power_scaled": lambda d: ScaledPowerGauge(p=float(d["p"]), a=float(d["a"])),
-    "power_log": lambda d: PowerLogGauge(p=float(d["p"]), a=float(d["a"])),
-    "exp_power": lambda d: ExpPowerGauge(a=float(d["a"])),
-    "linear": lambda d: LinearGauge(r=float(d.get("r", 1.0))),
-}
+def _from_json(classes: tuple, data: dict, kind: str):
+    """The member of data["family"] among `classes`, each dataclass field
+    read from data as a float; extra keys are ignored."""
+    cls = {c.family: c for c in classes}.get(data.get("family"))
+    if cls is None:
+        raise ValueError(f"unknown {kind} family {data.get('family')!r}")
+    return cls(**{f.name: float(data[f.name]) for f in fields(cls)
+                  if f.name in data or f.default is MISSING})
 
 
 def young_from_json(data: dict) -> YoungFunction:
-    fam = data.get("family")
-    if fam == "conjugate":
+    if data.get("family") == "conjugate":
         return ConjugateGauge(young_from_json(data["base"]))
-    if fam not in _YOUNG_FAMILIES:
-        raise ValueError(f"unknown Young-function family {fam!r}")
-    return _YOUNG_FAMILIES[fam](data)
+    return _from_json((PowerGauge, ScaledPowerGauge, PowerLogGauge, ExpPowerGauge, LinearGauge),
+                      data, "Young-function")
 
 
 def modulus_from_json(data: dict) -> ModulusOmega:
-    fam = data.get("family")
-    if fam == "holder":
-        return HolderModulus(delta=float(data["delta"]))
-    if fam == "log":
-        return LogModulus(eps=float(data["eps"]))
-    if fam == "log_borderline":
-        return BorderlineLogModulus()
-    raise ValueError(f"unknown modulus family {fam!r}")
+    return _from_json((HolderModulus, LogModulus, BorderlineLogModulus), data, "modulus")
 
 
 def morrey_weight_from_json(data: dict) -> MorreyWeight:
-    fam = data.get("family")
-    if fam == "power_law":
-        return PowerLawWeight(sigma=float(data["sigma"]))
-    if fam == "tabulated":
+    if data.get("family") == "tabulated":
         return TabulatedWeight(t_values=tuple(data["t"]), values=tuple(data["values"]))
-    raise ValueError(f"unknown Morrey weight family {fam!r}")
+    return _from_json((PowerLawWeight,), data, "Morrey weight")

@@ -87,9 +87,6 @@ class Grid:
         xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
         return np.stack([xx.ravel(), yy.ravel()], axis=1)
 
-    def center_of(self, idx: tuple[int, ...]) -> np.ndarray:
-        return np.array([self.origin[d] + (idx[d] + 0.5) * self.h for d in range(self.dim)])
-
     def cell_of_point(self, point: Sequence[float]) -> tuple[int, ...] | None:
         """Cell containing a real point (half-open cells), or None if outside."""
         idx = []
@@ -304,12 +301,6 @@ class SampledFunction:
         self.name = name
 
     @classmethod
-    def from_callable(cls, grid: Grid, fn, name: str = "") -> "SampledFunction":
-        pts = grid.cell_centers()
-        vals = np.array([fn(p) for p in pts], dtype=float).reshape(grid.shape)
-        return cls(grid, vals, name)
-
-    @classmethod
     def constant(cls, grid: Grid, c: float, name: str = "") -> "SampledFunction":
         return cls(grid, np.full(grid.shape, float(c)), name)
 
@@ -339,10 +330,6 @@ class SampledFunction:
             w.writerow(list(idx) + [repr(float(flat[k]))])
         return buf.getvalue()
 
-    def save_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
-
     @classmethod
     def from_csv(cls, text: str, name: str = "") -> "SampledFunction":
         rows = list(csv.reader(io.StringIO(text)))
@@ -356,11 +343,6 @@ class SampledFunction:
         for k, row in enumerate(rows[3:]):
             vals[k] = float(row[-1])
         return cls(grid, vals.reshape(grid.shape), name)
-
-    @classmethod
-    def load_csv(cls, path, name: str = "") -> "SampledFunction":
-        with open(path) as fh:
-            return cls.from_csv(fh.read(), name)
 
 
 def measure(region: Cube | Box) -> float:

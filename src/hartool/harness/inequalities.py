@@ -39,7 +39,8 @@ from ..maximal import (_window_count, fractional_maximal, lemma41_rhs,
                        local_sharp_maximal, median, narrowest_windows, sharp_median,
                        sharp_median_plugin, sup_inf_over_cubes)
 from ..operators import SINGULAR_CELL_POLICY, apply_kernel, hormander_lambda, omega_lambda
-from ..spaces import campanato_seminorm, compat_52, compat_53, morrey_norm, prop51_gap
+from ..spaces import (TRUNCATION_FACTOR, campanato_seminorm, compat_52, compat_53, morrey_norm,
+                      prop51_gap)
 from ..weights import bump_condition
 from .config import INEQUALITY_CATALOG, ConfigError, ExperimentConfig
 from .report import GridRecord, Report, sanitize
@@ -447,7 +448,7 @@ def _grid_prop51(cfg, n):
     res_i = col_i.finalize()
     res_scaled = col_scaled.finalize()
     extra = {"c_emp_variant_i": res_i["c_emp"], "t_range_flagged": flagged,
-             "truncation_radius": 2.0 * cfg.side_length,
+             "truncation_radius": TRUNCATION_FACTOR * cfg.side_length,
              "cn_dn": cn_dn,
              "cn_dn_sensitivity": {"scale": 1.5, "c_emp_variant_ii": res_scaled["c_emp"]}}
     return col_ii, extra
@@ -532,7 +533,7 @@ def _metadata(cfg: ExperimentConfig) -> dict:
     return {
         "c_n": cfg.resolved_c_n(),
         "d_n": cfg.resolved_d_n(),
-        "truncation_radius": 2.0 * cfg.side_length,
+        "truncation_radius": TRUNCATION_FACTOR * cfg.side_length,
         "singular_cell_policy": SINGULAR_CELL_POLICY,
         "ainfty_diagnostic": "geometric-mean (single sweep)",
         "ratio_floor": RATIO_FLOOR,

@@ -101,6 +101,11 @@ class KernelSpec:
     dim: int
     gamma: float
 
+    @property
+    def exponent(self) -> float:
+        """The degree n(1-gamma): k(t x, t y) = t^-exponent k(x, y) for t > 0."""
+        return self.dim * (1.0 - self.gamma)
+
     def value_at(self, x: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """k(x, y) for x (..., dim) broadcast against the rows of Y (..., k, dim).
 
@@ -110,7 +115,8 @@ class KernelSpec:
         raise NotImplementedError
 
     def singular_points(self, x: np.ndarray) -> list[np.ndarray]:
-        raise NotImplementedError
+        """The y with k(x, y) singular: y = x unless a kernel says otherwise."""
+        return [np.asarray(x, dtype=float)]
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -133,17 +139,10 @@ class RieszKernel(KernelSpec):
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
 
-    @property
-    def exponent(self) -> float:
-        return self.dim * (1.0 - self.gamma)
-
     def value_at(self, x, Y):
         r = np.linalg.norm(np.atleast_2d(Y) - x, axis=-1)
         with np.errstate(divide="ignore"):
             return r**-self.exponent
-
-    def singular_points(self, x):
-        return [np.asarray(x, dtype=float)]
 
     def to_json(self):
         return {"variant": "riesz", "dim": self.dim, "gamma": self.gamma}
@@ -167,19 +166,12 @@ class DiniKernel(KernelSpec):
         if self.sphere.dim != self.dim:
             raise ValueError("sphere function dimension mismatch")
 
-    @property
-    def exponent(self) -> float:
-        return self.dim * (1.0 - self.gamma)
-
     def value_at(self, x, Y):
         diff = x - np.atleast_2d(Y)
         r = np.linalg.norm(diff, axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
             ang = self.sphere.value(diff / np.where(r > 0, r, 1.0)[..., None])
             return ang * r**-self.exponent
-
-    def singular_points(self, x):
-        return [np.asarray(x, dtype=float)]
 
     def to_json(self):
         return {
@@ -220,7 +212,7 @@ class HomogeneousKernel(KernelSpec):
             if not g > 0:
                 raise ValueError("each exponent gamma_i must be positive")
         total = sum(self.exponents)
-        if abs(total - self.dim * (1.0 - self.gamma)) > 1e-12:
+        if abs(total - self.exponent) > 1e-12:
             raise ValueError("exponents must sum to n(1-gamma)")
         for m in mats:
             if abs(np.linalg.det(m)) < 1e-14:
@@ -441,7 +433,7 @@ def kernel_smoothness_ratio(kernel: KernelSpec, omega: ModulusOmega,
         dist_xy = np.linalg.norm(x - y, axis=1)
         dist_xxp = np.linalg.norm(x - xp, axis=1)
         om = omega.value(np.where(dist_xxp > 0, dist_xxp / dist_xy, 1.0))
-        ratio = np.where(dist_xxp > 0, num * dist_xy ** (dim * (1 - kernel.gamma)) / om, 0.0)
+        ratio = np.where(dist_xxp > 0, num * dist_xy**kernel.exponent / om, 0.0)
         ratio = np.where(outside, ratio, 0.0)
         best = max(best, float(ratio.max(initial=0.0)))
         remaining -= k

@@ -186,6 +186,16 @@ def test_oracle_command(capsys):
     out = capsys.readouterr().out
     assert "[PASS]" in out
     assert run_cli("oracle", "definitely-not-an-oracle") == 2
+    err = capsys.readouterr().err
+    assert "known:" in err and "'luxemburg'" in err
+
+
+def test_run_path_does_not_import_the_oracles():
+    # the oracles are verification code: only `hartool oracle` imports them
+    proc = subprocess.run([sys.executable, "-c", "import sys, hartool.harness.cli; "
+                           "print('hartool.harness.oracles' in sys.modules)"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
 
 
 def test_console_entry_point():

@@ -11,9 +11,10 @@ from hartool import (BorderlineLogModulus, ConjugateGauge, Cube, CubeFamily,
                      PowerLawWeight, PowerLogGauge, SampledFunction,
                      ScaledPowerGauge, TabulatedWeight, bump_norm, conjugate,
                      dini_integral, evaluate, inverse, luxemburg_mean_norm,
-                     luxemburg_raw_norm, modulus_from_json, young_from_json)
-from hartool.gauges import (LUXEMBURG_RTOL, _legendre_table, _power_norms, batched_mean_norms,
-                            tail_converges)
+                     luxemburg_raw_norm, modulus_from_json, morrey_weight_from_json,
+                     young_from_json)
+from hartool.gauges import (LUXEMBURG_RTOL, _legendre_table, _power_norms, _tail_ratio,
+                            batched_mean_norms, tail_converges)
 from hartool.harness.oracles import (BUMP_VERDICTS, DINI_VERDICTS, CountingGauge,
                                      ternary_conjugate)
 
@@ -421,6 +422,34 @@ def test_declared_tail_integrals_match_closed_forms():
         1.51577228, rel=1e-8)
 
 
+# ( int_1^inf A(t)^(q/p) t^-q dt/t )^(1/q) at alpha = 0, by mpmath quadrature
+# at 30 digits; the declared tails have E = 2 - p < 0 and B = a q/p != 0
+BUMP_POWER_LOG_REFS = [
+    ((2.0, 1.0), 2.02, 48.117179556816),
+    ((2.0, 1.0), 2.2, 4.4317587764035),
+    ((2.0, -0.5), 2.05, 2.5149100843602),
+    ((2.0, -1.5), 2.05, 1.2616186156633),  # B = -1.5
+]
+
+
+@pytest.mark.parametrize("params, p, ref", BUMP_POWER_LOG_REFS)
+def test_bump_norm_log_factor_tail_is_exact(params, p, ref):
+    val, div = bump_norm(PowerLogGauge(*params), 0.0, p)
+    assert not div and val == pytest.approx(ref, rel=1e-8)
+
+
+def test_tail_ratio_matches_incomplete_gamma():
+    # x^(1-s) e^x Gamma(s, x) in closed form: s = 1 gives 1, s = 2 gives 1 + 1/x,
+    # s = 0 gives x e^x E1(x), and s = 1/2 gives sqrt(pi x) e^x erfc(sqrt x)
+    for x in (1e-6, 0.05, 0.92, 1.0, 18.4, 200.0):
+        assert _tail_ratio(1.0, x) == 1.0
+        assert _tail_ratio(2.0, x) == pytest.approx(1.0 + 1.0 / x, rel=1e-13)
+        assert _tail_ratio(0.5, x) == pytest.approx(
+            math.sqrt(math.pi * x) * math.exp(x) * math.erfc(math.sqrt(x)), rel=1e-11)
+    # E1(1) = 0.21938393439552027 (Abramowitz & Stegun 5.1)
+    assert _tail_ratio(0.0, 1.0) == pytest.approx(math.e * 0.21938393439552027, rel=1e-13)
+
+
 def test_tail_converges_decides_the_borderline_within_tolerance():
     assert tail_converges(-1e-11, 0.0) and not tail_converges(-1e-13, 0.0)
     assert tail_converges(1e-13, -1.5) and not tail_converges(1e-11, -1.5)
@@ -461,6 +490,9 @@ def test_doubling_constants():
     ts = np.logspace(-3, 6, 200)
     assert np.all(a.value(2 * ts) <= bound * a.value(ts) * (1 + 1e-12))
     assert ExpPowerGauge(1.0).doubling_constant() is None
+    # a conjugate of a power base is a power, t^p' up to scale: exactly 2^p'
+    assert ConjugateGauge(PowerGauge(3.0)).doubling_constant() == 2 ** 1.5
+    assert ConjugateGauge(PowerLogGauge(2.0, 1.0)).doubling_constant() is None
 
 
 def test_json_constructors():
@@ -471,8 +503,45 @@ def test_json_constructors():
     assert young_from_json(conj.to_json()) == conj
     for mod in (HolderModulus(0.5), LogModulus(0.7), BorderlineLogModulus()):
         assert modulus_from_json(mod.to_json()) == mod
-    with pytest.raises(ValueError):
-        young_from_json({"family": "nope"})
+    assert young_from_json({"family": "linear"}) == LinearGauge(1.0)
+    for from_json in (young_from_json, modulus_from_json, morrey_weight_from_json):
+        with pytest.raises(ValueError, match="unknown"):
+            from_json({"family": "nope"})
+    with pytest.raises(KeyError):
+        young_from_json({"family": "power"})
+
+
+# every registered family, with the descriptor it writes, spelled out
+DESCRIPTORS = [
+    (young_from_json, PowerGauge(3.0), {"family": "power", "p": 3.0}),
+    (young_from_json, ScaledPowerGauge(2.0, 0.5), {"family": "power_scaled", "p": 2.0, "a": 0.5}),
+    (young_from_json, PowerLogGauge(2.0, -1.5), {"family": "power_log", "p": 2.0, "a": -1.5}),
+    (young_from_json, ExpPowerGauge(2.0), {"family": "exp_power", "a": 2.0}),
+    (young_from_json, LinearGauge(1.5), {"family": "linear", "r": 1.5}),
+    (young_from_json, ConjugateGauge(PowerGauge(3.0)),
+     {"family": "conjugate", "base": {"family": "power", "p": 3.0}}),
+    (young_from_json, ConjugateGauge(PowerLogGauge(2.0, 1.0)),
+     {"family": "conjugate", "base": {"family": "power_log", "p": 2.0, "a": 1.0}}),
+    (modulus_from_json, HolderModulus(0.5), {"family": "holder", "delta": 0.5}),
+    (modulus_from_json, LogModulus(0.7), {"family": "log", "eps": 0.7}),
+    (modulus_from_json, BorderlineLogModulus(), {"family": "log_borderline"}),
+    (morrey_weight_from_json, PowerLawWeight(-0.5), {"family": "power_law", "sigma": -0.5}),
+    (morrey_weight_from_json, TabulatedWeight((0.1, 1.0), (2.0, 1.0)),
+     {"family": "tabulated", "t": [0.1, 1.0], "values": [2.0, 1.0]}),
+]
+
+
+@pytest.mark.parametrize("from_json, member, descriptor", DESCRIPTORS,
+                         ids=[d["family"] + ("-" + d["base"]["family"] if "base" in d else "")
+                              for _, _, d in DESCRIPTORS])
+def test_descriptor_is_family_name_plus_parameters(from_json, member, descriptor):
+    assert member.to_json() == descriptor
+    assert list(member.to_json()) == list(descriptor)  # the family comes first
+    assert from_json(descriptor) == member
+    # parameters are read as floats, and extra keys are ignored
+    spelled = {k: int(v) if isinstance(v, float) and v.is_integer() else v
+               for k, v in descriptor.items()}
+    assert repr(from_json(dict(spelled, note="ignored")).to_json()) == repr(descriptor)
 
 
 def test_gauge_parameter_validation():

@@ -3,7 +3,8 @@
 A code line is a physical line of ``src/hartool/**/*.py`` that holds a
 token of code: blank lines, comment lines and the lines of docstrings
 (the leading string of a module, class or function) do not count.  This
-is the count CHANGES.md records:
+is the count CHANGES.md records.  One line per module, then the total as
+the last line:
 
     python tools/code_lines.py
 
@@ -49,7 +50,13 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory holding the hartool package to count")
     args = parser.parse_args(argv)
-    print(sum(code_lines(path.read_text()) for path in (Path(args.src) / "hartool").rglob("*.py")))
+    package = Path(args.src) / "hartool"
+    total = 0
+    for path in sorted(package.rglob("*.py")):
+        count = code_lines(path.read_text())
+        total += count
+        print(f"{count:6d}  {path.relative_to(package)}")
+    print(total)
     return 0
 
 
