@@ -364,9 +364,17 @@ def kernel_matrix(kernel: KernelSpec, grid: Grid) -> np.ndarray:
     centers = grid.cell_centers()
     n = centers.shape[0]
     h = grid.h
-    K = np.empty((n, n))
-    for i in range(n):
-        K[i] = kernel.value_at(centers[i], centers)
+    if isinstance(kernel, (RieszKernel, DiniKernel)):
+        # translation invariant: K[i, j] = k(0, y_j - x_i), one value per offset
+        N = grid.cells_per_side
+        offs = np.stack(np.meshgrid(*[np.arange(1 - N, N) * h] * grid.dim, indexing="ij"), axis=-1)
+        S = kernel.value_at(np.zeros(grid.dim), offs.reshape(-1, grid.dim)).reshape((2 * N - 1,) * grid.dim)
+        win = np.lib.stride_tricks.sliding_window_view(S, (N,) * grid.dim)
+        K = np.ascontiguousarray(win[(slice(None, None, -1),) * grid.dim]).reshape(n, n)
+    else:
+        K = np.empty((n, n))
+        for i in range(n):
+            K[i] = kernel.value_at(centers[i], centers)
     # singular cells: one group per (row, source cell) holding singular points
     points = np.array([kernel.singular_points(x) for x in centers])  # (n, S, dim)
     idx = np.floor((points - np.asarray(grid.origin)) / h).astype(int)
