@@ -327,3 +327,30 @@ def test_value_at_broadcasts_points_against_rows(kernel):
     # paired one-row evaluations, as the singular-cell subdivision makes them
     paired = kernel.value_at(X[:, None], Y[:7, None])[:, 0]
     np.testing.assert_array_equal(paired, [kernel.value_at(x, y[None])[0] for x, y in zip(X, Y)])
+
+
+# cos(theta) + 0.5 sin(theta) is not symmetric under any axis flip, so a
+# transposed or unflipped stencil gather changes the matrix
+DINI_2D_ASYM = DiniKernel(2, 0.5, SphereFunction(2, cos_coeffs=(1.0,), sin_coeffs=(0.5,)),
+                          HolderModulus(1.0))
+
+
+@pytest.mark.parametrize("kernel, n", [
+    (RieszKernel(1, 0.25), 64), (RieszKernel(2, 0.5), 16), (DINI_1D, 64), (DINI_2D_ASYM, 16),
+])
+@pytest.mark.parametrize("side, origin", [(1.0, ()), (3.0, (-0.3,))])
+def test_stencil_build_matches_row_loop(kernel, n, side, origin):
+    grid = Grid(kernel.dim, n, side, origin * kernel.dim)
+    K = kernel_matrix(kernel, grid)
+    centers = grid.cell_centers()
+    ref = np.stack([kernel.value_at(c, centers) for c in centers])
+    regular = np.ones(K.shape, dtype=bool)
+    for i, x in enumerate(centers):
+        for p in kernel.singular_points(x):
+            idx = grid.cell_of_point(p)
+            if idx is not None:
+                regular[i, np.ravel_multi_index(idx, grid.shape)] = False
+    if not origin:
+        np.testing.assert_array_equal(K[regular], ref[regular])
+    else:  # offsets rounded differently: equal to rounding at the scale of the entries
+        assert np.max(np.abs(K[regular] - ref[regular])) <= 1e-13 * np.max(np.abs(ref[regular]))
