@@ -3,9 +3,12 @@
 Three kernel variants drive a dense matrix build: the standard radial
 fractional kernel |x-y|^(-n(1-gamma)), its sign-patterned variant with an
 angular factor that is mean zero on the sphere, and products of powers
-|x - A_i y|^(-gamma_i) with invertible coefficients.  The transform is
-computed on the grid domain only (no far-field tail); every verified
-inequality compares quantities computed under the same truncation.
+|x - A_i y|^(-gamma_i) with invertible coefficients.  The first two
+(Riesz and Dini) are translation invariant, so their regular entries come
+from one stencil of the (2N-1)^n grid offsets; a homogeneous kernel keeps
+one `value_at` row per cell.  The transform is computed on the grid
+domain only (no far-field tail); every verified inequality compares
+quantities computed under the same truncation.
 
 Singular-cell policy: a source cell containing a singular point of the
 kernel contributes f_j times a refined integral of the kernel over that
@@ -16,6 +19,12 @@ innermost level dropped, which errs low by an O(h^(n gamma)) term,
 consistently across operators.  All 2D singular cells of a matrix go
 through one batched recursion, and `KernelSpec.value_at` broadcasts x
 against the rows of Y, so no loop calls the kernel one point at a time.
+
+The midpoint rule on the regular cells dominates the total error.  The
+transform of the constant 1 against its closed form (`hartool oracle
+kernel`) errs by 9.2e-3 (1D, gamma = 0.25), 4.6e-3 (1D, gamma = 0.5) and
+6.0e-3 (2D, gamma = 0.5) at N = 64, with observed orders about 0.18, 0.42
+and 0.85 per halving of h.
 """
 
 from __future__ import annotations
@@ -355,7 +364,13 @@ def kernel_matrix(kernel: KernelSpec, grid: Grid) -> np.ndarray:
 
     Regular entries are midpoint values k(x_i, y_j); entries whose source
     cell contains a singular point hold the refined cell integral divided
-    by the cell measure."""
+    by the cell measure.  Riesz and Dini kernels take the regular entries
+    from one stencil k(0, o) over the offsets o = y_j - x_i, gathered by a
+    sliding window.  That equals a row loop bit for bit where every cell
+    centre is exact in floating point (origin 0 or -side/2 with side 1 or
+    3, as on the catalog's grids) and to rounding elsewhere, where
+    y_j - x_i and (j - i) h round differently.  A homogeneous kernel keeps
+    one `value_at` row per cell."""
     key = (kernel, grid)
     if key in _MATRIX_CACHE:
         return _MATRIX_CACHE[key]
